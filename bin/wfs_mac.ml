@@ -67,7 +67,7 @@ let run ~path ~contention ~control_weight ~metrics_out ~trace_out ~trace_csv
      WPS trace through it, so the ring holds the most recent swap/drop
      events when a run dies. *)
   let recorder =
-    Option.map (fun cap -> Core.Simulator.Tracelog.create ~capacity:cap ()) flight_recorder
+    Option.map (fun cap -> Core.Tracelog.create ~capacity:cap ()) flight_recorder
   in
   let cfg =
     Mac.Mac_sim.config

@@ -99,7 +99,7 @@ let run_one ~credit ~debit ~fairness ~invariants ~fast_path ~obs
   in
   let trace =
     Option.map
-      (fun cap -> Wfs_core.Simulator.Tracelog.create ~capacity:cap ())
+      (fun cap -> Wfs_core.Tracelog.create ~capacity:cap ())
       obs.flight
   in
   (* Windowed aggregation is a per-slot observer here (it degenerates the
@@ -775,35 +775,11 @@ let render_topo ~title ~output ~jobs ~credit ~debit ~invariants ~fast_path
   | Csv ->
       print_endline (String.concat "," columns);
       List.iter print_endline (List.rev !csv_rows));
-  (match fault_timeline with
-  | None -> ()
-  | Some path ->
-      (* wfs-chaos/1-timeline: a header line, then one event per line
-         stamped with its spec — the artifact CI uploads from fault
-         sweeps. *)
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc
-            (J.to_string ~pretty:false
-               (J.Obj [ ("schema", J.Str "wfs-chaos/1-timeline") ]));
-          output_char oc '\n';
-          List.iter
-            (fun (_, (sp : Spec.t), r) ->
-              List.iter
-                (fun ev ->
-                  output_string oc
-                    (J.to_string ~pretty:false
-                       (J.Obj
-                          [
-                            ("spec", J.Str (Spec.to_string sp));
-                            ( "event",
-                              Wfs_chaos.Chaos.event_to_json ev );
-                          ]));
-                  output_char oc '\n')
-                r.t_timeline)
-            runs));
+  Option.iter
+    (fun path ->
+      Wfs_chaos.Chaos.write_timeline ~path
+        (List.map (fun (_, sp, r) -> (Spec.to_string sp, r.t_timeline)) runs))
+    fault_timeline;
   (match metrics_out with
   | None -> ()
   | Some path -> (

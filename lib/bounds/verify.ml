@@ -1,5 +1,5 @@
 module Core = Wfs_core
-module Tracelog = Wfs_sim.Tracelog
+module Tracelog = Wfs_core.Tracelog
 
 type report = { samples : int; violations : int; worst_slack : float }
 

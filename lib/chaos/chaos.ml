@@ -1,6 +1,7 @@
 module Error = Wfs_util.Error
 module Rng = Wfs_util.Rng
 module Json = Wfs_util.Json
+module Jsonl = Wfs_util.Jsonl
 module Instruments = Wfs_obs.Instruments
 module Spec = Wfs_runner.Spec
 
@@ -265,31 +266,29 @@ let fault_to_string = function
       Printf.sprintf "worker-fault cell=%d %s" cell
         (if persistent then "persistent" else "transient")
 
-let fault_to_json = function
-  | Cell_crash { cell } ->
-      Json.Obj [ ("kind", Json.Str "crash"); ("cell", Json.Int cell) ]
-  | Cell_recover { cell } ->
-      Json.Obj [ ("kind", Json.Str "recover"); ("cell", Json.Int cell) ]
-  | Handoff_lost { flow; src; dst } ->
-      Json.Obj
-        [ ("kind", Json.Str "lost"); ("flow", Json.Int flow);
-          ("src", Json.Int src); ("dst", Json.Int dst) ]
-  | Handoff_corrupt { flow; src; dst } ->
-      Json.Obj
-        [ ("kind", Json.Str "corrupt"); ("flow", Json.Int flow);
-          ("src", Json.Int src); ("dst", Json.Int dst) ]
-  | Handoff_blocked { flow; src; dst } ->
-      Json.Obj
-        [ ("kind", Json.Str "blocked"); ("flow", Json.Int flow);
-          ("src", Json.Int src); ("dst", Json.Int dst) ]
-  | Blackout { cell; until } ->
-      Json.Obj
-        [ ("kind", Json.Str "blackout"); ("cell", Json.Int cell);
-          ("until", Json.Int until) ]
-  | Worker_fault { cell; persistent } ->
-      Json.Obj
-        [ ("kind", Json.Str "worker"); ("cell", Json.Int cell);
-          ("persistent", Json.Bool persistent) ]
+let fault_kind = function
+  | Cell_crash _ -> "crash"
+  | Cell_recover _ -> "recover"
+  | Handoff_lost _ -> "lost"
+  | Handoff_corrupt _ -> "corrupt"
+  | Handoff_blocked _ -> "blocked"
+  | Blackout _ -> "blackout"
+  | Worker_fault _ -> "worker"
+
+let fault_to_json f =
+  let fields =
+    match f with
+    | Cell_crash { cell } | Cell_recover { cell } -> [ ("cell", Json.Int cell) ]
+    | Handoff_lost { flow; src; dst }
+    | Handoff_corrupt { flow; src; dst }
+    | Handoff_blocked { flow; src; dst } ->
+        [ ("flow", Json.Int flow); ("src", Json.Int src); ("dst", Json.Int dst) ]
+    | Blackout { cell; until } ->
+        [ ("cell", Json.Int cell); ("until", Json.Int until) ]
+    | Worker_fault { cell; persistent } ->
+        [ ("cell", Json.Int cell); ("persistent", Json.Bool persistent) ]
+  in
+  Json.Obj (("kind", Json.Str (fault_kind f)) :: fields)
 
 let fault_of_json j =
   let ( let* ) = Option.bind in
@@ -357,6 +356,29 @@ let fault_equal a b =
       false
 
 let event_equal a b = Int.equal a.slot b.slot && fault_equal a.fault b.fault
+
+(* --- the fault timeline file: a framed stream of (spec, event) records,
+   chronological within each spec --- *)
+
+let timeline_schema = "wfs-chaos/1-timeline"
+
+let timeline_entry_of_json j =
+  let ( let* ) = Option.bind in
+  let* spec = Option.bind (Json.member "spec" j) Json.to_str in
+  let* event = Option.bind (Json.member "event" j) event_of_json in
+  Some (spec, event)
+
+let write_timeline ~path runs =
+  Jsonl.with_file ~path ~schema:timeline_schema [] (fun w ->
+      List.iter
+        (fun (spec, events) ->
+          List.iter
+            (fun ev ->
+              Jsonl.write w
+                (Json.Obj [ ("spec", Json.Str spec); ("event", event_to_json ev) ]))
+            events)
+        runs)
+
 let timeline_to_json t = Json.Arr (List.map event_to_json (timeline t))
 
 let timeline_context t =

@@ -155,6 +155,11 @@ val timeline : t -> event list
 (** Chronological. *)
 
 val fault_to_string : fault -> string
+
+val fault_kind : fault -> string
+(** The ["kind"] tag of {!fault_to_json}: ["crash"], ["recover"],
+    ["lost"], ["corrupt"], ["blocked"], ["blackout"] or ["worker"]. *)
+
 val fault_to_json : fault -> Wfs_util.Json.t
 val fault_of_json : Wfs_util.Json.t -> fault option
 val event_to_json : event -> Wfs_util.Json.t
@@ -164,6 +169,20 @@ val event_equal : event -> event -> bool
 val timeline_to_json : t -> Wfs_util.Json.t
 (** [Arr] of {!event_to_json}, chronological; round-trips through
     {!event_of_json}. *)
+
+(** {1 Timeline files}
+
+    A run's fault timeline on disk is a framed stream
+    ({!Wfs_util.Jsonl}; docs/ROBUSTNESS.md, "Framed streams") with no
+    header fields and one [{"spec":...,"event":...}] record per fault. *)
+
+val timeline_schema : string
+(** ["wfs-chaos/1-timeline"] *)
+
+val write_timeline : path:string -> (string * event list) list -> unit
+(** One group per run: its spec string and its chronological events. *)
+
+val timeline_entry_of_json : Wfs_util.Json.t -> (string * event) option
 
 val timeline_context : t -> (string * string) list
 (** The most recent faults rendered for {!Wfs_util.Error.add_context},

@@ -37,7 +37,7 @@ val with_flows : Simulator.flow_setup array -> t -> t
 val with_horizon : int -> t -> t
 (** @raise Invalid_argument on a negative horizon. *)
 
-val with_trace : Wfs_sim.Tracelog.t -> t -> t
+val with_trace : Tracelog.t -> t -> t
 val with_observer : (int -> Metrics.t -> unit) -> t -> t
 val with_probe : Simulator.slot_probe -> t -> t
 val with_profiler : Simulator.profiler_hooks -> t -> t

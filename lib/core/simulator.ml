@@ -2,7 +2,6 @@ module Packet = Wfs_traffic.Packet
 module Arrival = Wfs_traffic.Arrival
 module Channel = Wfs_channel.Channel
 module Predictor = Wfs_channel.Predictor
-module Tracelog = Wfs_sim.Tracelog
 module Event_cal = Wfs_util.Event_cal
 
 type flow_setup = {
@@ -90,7 +89,6 @@ module Session = struct
   type t = {
     cfg : config;
     sched : Wireless_sched.instance;
-    channel_state : flow:int -> slot:int -> Channel.state;
     metrics : Metrics.t;
     seqs : int array;
     tracing : bool;
@@ -115,9 +113,8 @@ module Session = struct
     mutable next : int;
     (* Event-compressed fast path (see docs/PERF.md).  [fast] is decided
        once at session creation: the config asked for it, every per-slot
-       observability hook is absent, the scheduler published a quiescent
-       hook, and channels are driven directly (so [Channel.advance_run]
-       reaches the same objects the reference's [channel_state] would).
+       observability hook is absent and the scheduler published a
+       quiescent hook.
        [cal] holds at most one pending arrival event per source;
        [src_scanned.(i)] is the slot the next event query for source [i]
        resumes from; [chan_next] is the slot the next dynamic-channel
@@ -130,8 +127,7 @@ module Session = struct
     mutable chan_next : int;
   }
 
-  let create_generic ?metrics ?(first_slot = 0) ?(direct_channels = false)
-      cfg (sched : Wireless_sched.instance) ~channel_state =
+  let create ?metrics ?(first_slot = 0) cfg (sched : Wireless_sched.instance) =
     let n = Array.length cfg.flows in
     if first_slot < 0 || first_slot > cfg.horizon then
       Wfs_util.Error.invalidf "Simulator.Session.create"
@@ -215,7 +211,7 @@ module Session = struct
         cfg.flows
     in
     let fast =
-      cfg.fast_path && direct_channels && not tracing
+      cfg.fast_path && not tracing
       && Option.is_none cfg.slot_probe
       && Option.is_none cfg.observer
       && Option.is_none cfg.profiler
@@ -232,7 +228,6 @@ module Session = struct
     {
       cfg;
       sched;
-      channel_state;
       metrics;
       seqs;
       tracing;
@@ -260,16 +255,6 @@ module Session = struct
       chan_next = first_slot;
     }
 
-  let create ?metrics ?first_slot cfg sched =
-    let channel_state ~flow ~slot =
-      Channel.advance cfg.flows.(flow).channel ~slot
-    in
-    (* Channels must advance exactly once per slot, before predictions read
-       them; [advance] calls [channel_state] once per flow per slot in
-       phase 2. *)
-    create_generic ?metrics ?first_slot ~direct_channels:true cfg sched
-      ~channel_state
-
   let next_slot t = t.next
   let metrics t = t.metrics
 
@@ -291,7 +276,6 @@ module Session = struct
     let phase_end = t.phase_end in
     let states = t.states in
     let cur_slot = t.cur_slot in
-    let channel_state = t.channel_state in
     let predicted_good = t.predicted_good in
     let peek_good = t.peek_good in
     let live_sources = t.live_sources in
@@ -326,9 +310,11 @@ module Session = struct
       if profiling then phase_end phase_arrivals;
       (* 2–3. Channel states and predictions. *)
       if profiling then phase_begin phase_predict;
+      (* Channels advance exactly once per slot, before predictions read
+         them. *)
       for i = 0 to n - 1 do
         if (not static_channel.(i)) || slot = first_slot then
-          states.(i) <- channel_state ~flow:i ~slot
+          states.(i) <- Channel.advance cfg.flows.(i).channel ~slot
       done;
       if profiling then phase_end phase_predict;
       (* 4. Delay-bound drops (may discard packets anywhere in the queue). *)
@@ -620,15 +606,10 @@ let run_with_channels cfg sched ~channel_states =
           (Array.to_list (Array.mapi (fun slot st -> (slot, st)) row)))
       channel_states
   in
-  let cfg =
+  run
     {
       cfg with
       flows =
         Array.mapi (fun i fs -> { fs with channel = replay.(i) }) cfg.flows;
     }
-  in
-  (* [cfg.flows] was just rewritten to hold the replay channels, so direct
-     channel access reaches the same objects [channel_state] drives. *)
-  let channel_state ~flow ~slot = Channel.advance replay.(flow) ~slot in
-  Session.finish
-    (Session.create_generic ~direct_channels:true cfg sched ~channel_state)
+    sched

@@ -11,14 +11,6 @@
     All randomness lives in the sources and channels; given the same
     scheduler and the same seeded components, runs are reproducible. *)
 
-module Tracelog : module type of struct
-  include Wfs_sim.Tracelog
-end
-(** Re-export of {!Wfs_sim.Tracelog}, so binaries whose main module is
-    named [wfs_sim] (the CLI) can still build capacity-bounded flight
-    recorders without linking the [wfs_sim] library under its clashing
-    top-level name. *)
-
 type flow_setup = {
   flow : Params.flow;
   source : Wfs_traffic.Arrival.t;
@@ -66,7 +58,7 @@ type config = {
   flows : flow_setup array;
   predictor : Wfs_channel.Predictor.kind;
   horizon : int;  (** number of slots to simulate *)
-  trace : Wfs_sim.Tracelog.t option;
+  trace : Tracelog.t option;
   observer : (int -> Metrics.t -> unit) option;
       (** called at the end of every slot with the slot index and the live
           metrics — used by the bounds verifier and tests to sample
@@ -112,7 +104,7 @@ type config = {
 
 val config :
   ?predictor:Wfs_channel.Predictor.kind ->
-  ?trace:Wfs_sim.Tracelog.t ->
+  ?trace:Tracelog.t ->
   ?observer:(int -> Metrics.t -> unit) ->
   ?slot_probe:slot_probe ->
   ?profiler:profiler_hooks ->

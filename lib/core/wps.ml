@@ -1,7 +1,6 @@
 module Packet = Wfs_traffic.Packet
 module Ring = Wfs_util.Ring
 module Flow_set = Wfs_util.Flow_set
-module Tracelog = Wfs_sim.Tracelog
 
 type flow_state = {
   weight_int : int;

@@ -27,7 +27,7 @@ val create :
   ?params:Params.wps ->
   ?limits:(int * int) array ->
   ?naive:bool ->
-  ?trace:Wfs_sim.Tracelog.t ->
+  ?trace:Tracelog.t ->
   Params.flow array ->
   t
 (** Flow ids must be [0..n-1]; weights are rounded to integers ≥ 1 for

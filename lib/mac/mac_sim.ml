@@ -20,7 +20,7 @@ type config = {
   contention : contention_policy;
   horizon : int;
   rng : Wfs_util.Rng.t;
-  trace : Wfs_sim.Tracelog.t option;
+  trace : Wfs_core.Tracelog.t option;
   slot_probe :
     (Core.Wireless_sched.instance -> Core.Simulator.slot_probe) option;
   profiler : Core.Simulator.profiler_hooks option;

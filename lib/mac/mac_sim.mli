@@ -40,7 +40,7 @@ type config = {
   contention : contention_policy;
   horizon : int;
   rng : Wfs_util.Rng.t;  (** drives notification contention *)
-  trace : Wfs_sim.Tracelog.t option;
+  trace : Wfs_core.Tracelog.t option;
   slot_probe :
     (Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.slot_probe) option;
       (** per-slot telemetry hook, as in {!Wfs_core.Simulator}, but passed
@@ -58,7 +58,7 @@ val config :
   ?control_weight:float ->
   ?wps:Wfs_core.Params.wps ->
   ?contention:contention_policy ->
-  ?trace:Wfs_sim.Tracelog.t ->
+  ?trace:Wfs_core.Tracelog.t ->
   ?slot_probe:
     (Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.slot_probe) ->
   ?profiler:Wfs_core.Simulator.profiler_hooks ->

@@ -1,29 +1,24 @@
 module Json = Wfs_util.Json
 module Error = Wfs_util.Error
+module Jsonl = Wfs_util.Jsonl
 
-type format = Jsonl | Csv
+(* The JSONL form is a framed stream; the CSV form is a plain table with
+   a column-header row. *)
+type out = Jsonl of Jsonl.writer | Csv of out_channel * Buffer.t
 
 type t = {
-  oc : out_channel;
-  format : format;
+  out : out;
   n_flows : int;
-  buf : Buffer.t;
   mutable written : int;
   mutable closed : bool;
 }
 
-let jsonl ~path (hdr : Trace.header) =
-  let oc = open_out_bin path in
-  output_string oc (Trace.header_to_string hdr);
-  output_char oc '\n';
-  {
-    oc;
-    format = Jsonl;
-    n_flows = hdr.Trace.n_flows;
-    buf = Buffer.create 256;
-    written = 0;
-    closed = false;
-  }
+let make out (hdr : Trace.header) =
+  { out; n_flows = hdr.Trace.n_flows; written = 0; closed = false }
+
+let jsonl ~path hdr =
+  let fields = Trace.header_fields hdr in
+  make (Jsonl (Jsonl.create ~path ~schema:Trace.schema fields)) hdr
 
 let csv_columns n_flows =
   let base = [ "slot"; "selected"; "virtual_time"; "lag_sum" ] in
@@ -41,22 +36,15 @@ let csv ~path (hdr : Trace.header) =
   let oc = open_out_bin path in
   output_string oc (String.concat "," (csv_columns hdr.Trace.n_flows));
   output_char oc '\n';
-  {
-    oc;
-    format = Csv;
-    n_flows = hdr.Trace.n_flows;
-    buf = Buffer.create 256;
-    written = 0;
-    closed = false;
-  }
+  make (Csv (oc, Buffer.create 256)) hdr
 
-(* One reused buffer per sink: the per-sample cost is formatting plus one
-   [output_string]; nothing accumulates in memory (bounded streaming). *)
+(* One reused CSV row buffer per sink: the per-sample cost is formatting
+   plus one [output_string]; nothing accumulates in memory (bounded
+   streaming). *)
 
 let put_csv_cell buf s = Buffer.add_string buf s
 
-let write_csv t (s : Trace.sample) =
-  let buf = t.buf in
+let write_csv buf (s : Trace.sample) =
   Buffer.add_string buf (string_of_int s.Trace.slot);
   Buffer.add_char buf ',';
   (match s.Trace.selected with
@@ -91,13 +79,12 @@ let write t (s : Trace.sample) =
   if t.closed then Error.bad_config ~who:"Sink.write" "sink already closed";
   if Array.length s.Trace.flows <> t.n_flows then
     Error.bad_config ~who:"Sink.write" "sample width disagrees with header";
-  Buffer.clear t.buf;
-  (match t.format with
-  | Jsonl ->
-      Buffer.add_string t.buf (Trace.sample_to_string s);
-      Buffer.add_char t.buf '\n'
-  | Csv -> write_csv t s);
-  Buffer.output_buffer t.oc t.buf;
+  (match t.out with
+  | Jsonl w -> Jsonl.write w (Trace.sample_to_json s)
+  | Csv (oc, buf) ->
+      Buffer.clear buf;
+      write_csv buf s;
+      Buffer.output_buffer oc buf);
   t.written <- t.written + 1
 
 let written t = t.written
@@ -105,6 +92,5 @@ let written t = t.written
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    flush t.oc;
-    close_out t.oc
+    match t.out with Jsonl w -> Jsonl.close w | Csv (oc, _) -> close_out oc
   end

@@ -1,12 +1,12 @@
 (** Bounded streaming writers for per-slot {!Trace} samples.
 
-    Two formats over one interface: {!jsonl} writes the [wfs-trace/1]
-    header line then one compact JSON line per sample; {!csv} writes a
-    column-header row ([slot,selected,virtual_time,lag_sum] then
+    Two formats over one interface: {!jsonl} writes a [wfs-trace/1]
+    framed stream ({!Wfs_util.Jsonl}); {!csv} writes a column-header row
+    ([slot,selected,virtual_time,lag_sum] then
     [q{i},good{i},tag{i},credit{i}] per flow) and one comma row per
     sample, with optional quantities left as empty cells.  Memory use is
-    O(1): each sample is formatted into a reused buffer and written out
-    immediately, so traces of any horizon stream to disk. *)
+    O(1): each sample is written out as it arrives, so traces of any
+    horizon stream to disk. *)
 
 type t
 
@@ -25,4 +25,5 @@ val written : t -> int
 (** Samples appended so far. *)
 
 val close : t -> unit
-(** Flush and close; idempotent. *)
+(** Flush and close; idempotent.  A failed final flush raises
+    [Sys_error]. *)

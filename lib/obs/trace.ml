@@ -1,5 +1,6 @@
 module Json = Wfs_util.Json
 module Error = Wfs_util.Error
+module Jsonl = Wfs_util.Jsonl
 
 let schema = "wfs-trace/1"
 
@@ -24,15 +25,15 @@ type header = {
   params : (string * Json.t) list;
 }
 
+let reserved = [ "schema"; "n_flows"; "stride" ]
+
 let header ?(stride = 1) ?(params = []) ~n_flows () =
   if n_flows < 1 then
     Error.bad_config ~who:"Trace.header" "n_flows must be >= 1";
   if stride < 1 then Error.bad_config ~who:"Trace.header" "stride must be >= 1";
   List.iter
     (fun (k, _) ->
-      if
-        List.exists (String.equal k) [ "schema"; "n_flows"; "stride" ]
-      then
+      if List.exists (String.equal k) reserved then
         Error.bad_config ~who:"Trace.header" ("reserved param name: " ^ k))
     params;
   { n_flows; stride; params }
@@ -41,33 +42,26 @@ let header ?(stride = 1) ?(params = []) ~n_flows () =
    a scheduler with no virtual time produces no "vt" key at all — parsers
    must not read absence as zero. --- *)
 
-let header_to_json h =
-  Json.Obj
-    (("schema", Json.Str schema)
-    :: ("n_flows", Json.Int h.n_flows)
-    :: ("stride", Json.Int h.stride)
-    :: h.params)
+let header_fields h =
+  ("n_flows", Json.Int h.n_flows) :: ("stride", Json.Int h.stride) :: h.params
 
-let header_of_json v =
+let header_to_json h = Jsonl.header ~schema (header_fields h)
+
+let header_of_fields fields =
   let ( let* ) = Option.bind in
-  let* s = Option.bind (Json.member "schema" v) Json.to_str in
-  if not (String.equal s schema) then None
+  let int key = Option.bind (Json.member key (Json.Obj fields)) Json.to_int in
+  let* n_flows = int "n_flows" in
+  let* stride = int "stride" in
+  if n_flows < 1 || stride < 1 then None
   else
-    let* n_flows = Option.bind (Json.member "n_flows" v) Json.to_int in
-    let* stride = Option.bind (Json.member "stride" v) Json.to_int in
-    if n_flows < 1 || stride < 1 then None
-    else
-      let params =
-        match v with
-        | Json.Obj fields ->
-            List.filter
-              (fun (k, _) ->
-                not
-                  (List.exists (String.equal k) [ "schema"; "n_flows"; "stride" ]))
-              fields
-        | _ -> []
-      in
-      Some { n_flows; stride; params }
+    let params =
+      List.filter
+        (fun (k, _) -> not (List.exists (String.equal k) reserved))
+        fields
+    in
+    Some { n_flows; stride; params }
+
+let header_of_json v = Option.bind (Jsonl.header_fields ~schema v) header_of_fields
 
 let flow_to_json f =
   let base = [ ("q", Json.Int f.queue); ("g", Json.Int (if f.good then 1 else 0)) ] in
@@ -180,54 +174,14 @@ let header_equal a b =
               (Json.to_string ~pretty:false vb))
        a.params b.params
 
-(* --- loading (the Journal convention: a torn final line — an interrupted
-   append or a kill mid-flush — is dropped; a bad line with valid lines
-   after it is corruption and refuses to load). --- *)
-
 type contents = { hdr : header; samples : sample list }
 
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
-
 let load ~path =
-  let fail what context =
-    Error
-      (Error.v Error.Bad_spec ~who:"Trace.load" what
-         ~context:(("path", path) :: context))
-  in
-  match read_lines path with
-  | exception Sys_error msg -> fail msg []
-  | [] -> fail "empty trace (no header)" []
-  | hline :: rest -> (
-      match Json.of_string hline with
-      | Error msg -> fail "unreadable header" [ ("detail", msg) ]
-      | Ok hv -> (
-          match header_of_json hv with
-          | None -> fail "header is not a wfs-trace/1 header" []
-          | Some hdr ->
-              let n = List.length rest in
-              let rec go acc i = function
-                | [] -> Ok { hdr; samples = List.rev acc }
-                | line :: tl -> (
-                    match sample_of_string line with
-                    | Some s ->
-                        if Array.length s.flows <> hdr.n_flows then
-                          fail "sample width disagrees with header"
-                            [ ("line", string_of_int (i + 2)) ]
-                        else go (s :: acc) (i + 1) tl
-                    | None ->
-                        if i = n - 1 then Ok { hdr; samples = List.rev acc }
-                        else
-                          fail "corrupt sample before end of trace"
-                            [ ("line", string_of_int (i + 2)) ])
-              in
-              go [] 0 rest))
+  Jsonl.load ~who:"Trace.load" ~schema ~header:header_of_fields
+    ~record:sample_of_json
+    ~check:(fun hdr s ->
+      if Array.length s.flows <> hdr.n_flows then
+        Some "sample width disagrees with header"
+      else None)
+    ~path ()
+  |> Result.map (fun (hdr, samples) -> { hdr; samples })

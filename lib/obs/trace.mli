@@ -6,10 +6,9 @@
     quantities (virtual time, finish tags, credit balances, the global lag
     sum) are encoded by field {e presence} — a scheduler that exposes no
     virtual time produces no [vt] key, and absence must not be read as
-    zero.  The format streams: writers ({!Sink}) append a line per sample
-    and never hold the series in memory, and {!load} tolerates a torn
-    final line (an interrupted append) exactly like
-    [Wfs_runner.Journal]. *)
+    zero.  The format is a framed stream ({!Wfs_util.Jsonl};
+    docs/ROBUSTNESS.md, "Framed streams"): writers ({!Sink}) append a line
+    per sample and never hold the series in memory. *)
 
 val schema : string
 (** ["wfs-trace/1"] *)
@@ -42,6 +41,9 @@ val header :
     [stride < 1], or a param reuses a reserved name ([schema] / [n_flows]
     / [stride]). *)
 
+val header_fields : header -> (string * Wfs_util.Json.t) list
+(** The header line's fields after its schema tag. *)
+
 val header_to_json : header -> Wfs_util.Json.t
 val header_of_json : Wfs_util.Json.t -> header option
 val header_to_string : header -> string
@@ -64,7 +66,5 @@ val header_equal : header -> header -> bool
 type contents = { hdr : header; samples : sample list }
 
 val load : path:string -> (contents, Wfs_util.Error.t) result
-(** Parse a trace file.  A torn {e final} line is silently dropped (the
-    write was interrupted mid-append); a bad line {e followed by} valid
-    lines is corruption and yields [Error] (kind [Bad_spec]), as does a
-    sample whose flow count disagrees with the header. *)
+(** Parse a trace file; a sample whose flow count disagrees with the
+    header is refused wherever it appears. *)

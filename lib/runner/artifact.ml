@@ -126,23 +126,14 @@ let of_json j =
       }
 
 let write ~path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  Wfs_util.Jsonl.with_out path (fun oc ->
       output_string oc (Json.to_string (to_json t));
       output_char oc '\n')
 
 let read path =
-  match open_in path with
+  match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | ic ->
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      Result.bind (Json.of_string text) of_json
+  | text -> Result.bind (Json.of_string text) of_json
 
 let table_equal a b =
   String.equal a.title b.title

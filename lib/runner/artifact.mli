@@ -49,6 +49,8 @@ val v :
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 val write : path:string -> t -> unit
+(** A failed final flush raises [Sys_error]. *)
+
 val read : string -> (t, string) result
 (** [Error] on unreadable file, bad JSON, missing fields, or an unknown
     schema version. *)

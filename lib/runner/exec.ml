@@ -58,12 +58,12 @@ let run ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe ?profiler
    events ride along in the error context, so the runner's failure table
    shows what the scheduler was doing right before the fault. *)
 let flight_context tr =
-  let events = Wfs_sim.Tracelog.events tr in
+  let events = Wfs_core.Tracelog.events tr in
   [
     ( "flight-recorder-events",
-      string_of_int (Wfs_sim.Tracelog.length tr) );
+      string_of_int (Wfs_core.Tracelog.length tr) );
     ( "flight-recorder",
-      String.concat " | " (List.map Wfs_sim.Tracelog.entry_to_string events) );
+      String.concat " | " (List.map Wfs_core.Tracelog.entry_to_string events) );
   ]
 
 let run_outcome ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe
@@ -80,7 +80,7 @@ let run_outcome ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe
              "flight_recorder and trace are mutually exclusive"
              ~context:spec_context)
     | Some cap, None -> (
-        match Wfs_sim.Tracelog.create ~capacity:cap () with
+        match Wfs_core.Tracelog.create ~capacity:cap () with
         | tr -> Ok (Some tr)
         | exception Invalid_argument msg ->
             Error

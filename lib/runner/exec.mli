@@ -20,7 +20,7 @@ val run :
   ?debit_limit:int ->
   ?limits:(int * int) array ->
   ?observer:(int -> Wfs_core.Metrics.t -> unit) ->
-  ?trace:Wfs_sim.Tracelog.t ->
+  ?trace:Wfs_core.Tracelog.t ->
   ?probe:(Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.slot_probe) ->
   ?profiler:Wfs_core.Simulator.profiler_hooks ->
   ?histograms:bool ->
@@ -55,7 +55,7 @@ val run_outcome :
   ?debit_limit:int ->
   ?limits:(int * int) array ->
   ?observer:(int -> Wfs_core.Metrics.t -> unit) ->
-  ?trace:Wfs_sim.Tracelog.t ->
+  ?trace:Wfs_core.Tracelog.t ->
   ?probe:(Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.slot_probe) ->
   ?profiler:Wfs_core.Simulator.profiler_hooks ->
   ?flight_recorder:int ->
@@ -79,7 +79,7 @@ val run_outcome :
     timers, identical verdicts on any machine.
 
     [flight_recorder n] runs the spec with a capacity-[n] ring trace
-    ({!Wfs_sim.Tracelog.create}[ ~capacity]).  On {e any} failure the
+    ({!Wfs_core.Tracelog.create}[ ~capacity]).  On {e any} failure the
     error context gains [flight-recorder-events] (count retained) and
     [flight-recorder] (the last [n] events, rendered ["s<slot> <event>"]
     and ["|"]-separated) — so a [Sim_fault]/[Invariant_violation] row in
@@ -87,7 +87,7 @@ val run_outcome :
     Mutually exclusive with [trace] ([Bad_config] if both are given;
     [Bad_config] too when [n < 1]). *)
 
-val flight_context : Wfs_sim.Tracelog.t -> (string * string) list
+val flight_context : Wfs_core.Tracelog.t -> (string * string) list
 (** The context fields a flight recorder contributes to an error:
     [flight-recorder-events] (entries retained) and [flight-recorder] (the
     entries rendered ["s<slot> <event>"], ["|"]-separated).  Exposed for

@@ -1,22 +1,15 @@
-module Error = Wfs_util.Error
+module Jsonl = Wfs_util.Jsonl
 
 let schema = "wfs-bench/1-journal"
 
-type writer = { oc : out_channel; mutex : Mutex.t }
+type writer = { out : Jsonl.writer; mutex : Mutex.t }
 
 let create ?(schema = schema) ~path ~params () =
-  let oc = open_out_bin path in
-  output_string oc
-    (Json.to_string ~pretty:false (Json.Obj (("schema", Json.Str schema) :: params)));
-  output_char oc '\n';
-  flush oc;
-  { oc; mutex = Mutex.create () }
+  let out = Jsonl.create ~path ~schema params in
+  Jsonl.flush out;
+  { out; mutex = Mutex.create () }
 
-let reopen ~path =
-  let oc =
-    open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
-  in
-  { oc; mutex = Mutex.create () }
+let reopen ~path = { out = Jsonl.reopen ~path; mutex = Mutex.create () }
 
 let append w ~key ~value =
   let line =
@@ -27,83 +20,22 @@ let append w ~key ~value =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock w.mutex)
     (fun () ->
-      output_string w.oc line;
-      output_char w.oc '\n';
-      flush w.oc)
+      Jsonl.write_line w.out line;
+      Jsonl.flush w.out)
 
-let close w = close_out w.oc
+let close w = Jsonl.close w.out
 
 type contents = {
   params : (string * Json.t) list;
   entries : (string * Json.t) list;
 }
 
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
+let entry_of_json v =
+  match (Option.bind (Json.member "key" v) Json.to_str, Json.member "value" v) with
+  | Some key, Some value -> Some (key, value)
+  | _ -> None
 
 let load ?(schema = schema) ~path () =
-  match read_lines path with
-  | exception Sys_error msg ->
-      Error
-        (Error.v Error.Bad_spec ~who:"Journal.load" msg
-           ~context:[ ("path", path) ])
-  | [] ->
-      Error
-        (Error.v Error.Bad_spec ~who:"Journal.load" "empty journal (no header)"
-           ~context:[ ("path", path) ])
-  | header :: rest -> (
-      let fail what context =
-        Error
-          (Error.v Error.Bad_spec ~who:"Journal.load" what
-             ~context:(("path", path) :: context))
-      in
-      match Json.of_string header with
-      | Error msg -> fail "unreadable header" [ ("detail", msg) ]
-      | Ok h -> (
-          match Option.bind (Json.member "schema" h) Json.to_str with
-          | Some s when String.equal s schema ->
-              let params =
-                match h with
-                | Json.Obj fields ->
-                    List.filter (fun (k, _) -> not (String.equal k "schema")) fields
-                | _ -> []
-              in
-              let n = List.length rest in
-              let rec entries acc i = function
-                | [] -> Ok { params; entries = List.rev acc }
-                | line :: tl -> (
-                    match Json.of_string line with
-                    | Error msg ->
-                        (* The final line is where an interrupted append
-                           (or a kill -9 mid-flush) lands: drop it.  A bad
-                           line with valid lines after it is corruption. *)
-                        if i = n - 1 then Ok { params; entries = List.rev acc }
-                        else
-                          fail "corrupt entry before end of journal"
-                            [ ("line", string_of_int (i + 2)); ("detail", msg) ]
-                    | Ok v -> (
-                        match
-                          ( Option.bind (Json.member "key" v) Json.to_str,
-                            Json.member "value" v )
-                        with
-                        | Some key, Some value ->
-                            entries ((key, value) :: acc) (i + 1) tl
-                        | _ ->
-                            if i = n - 1 then
-                              Ok { params; entries = List.rev acc }
-                            else
-                              fail "entry missing key/value"
-                                [ ("line", string_of_int (i + 2)) ]))
-              in
-              entries [] 0 rest
-          | Some s -> fail "unexpected schema" [ ("schema", s) ]
-          | None -> fail "header has no schema field" []))
+  Jsonl.load ~who:"Journal.load" ~schema ~header:Option.some
+    ~record:entry_of_json ~path ()
+  |> Result.map (fun (params, entries) -> { params; entries })

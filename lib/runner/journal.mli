@@ -1,19 +1,14 @@
 (** Incremental checkpoint journal for sweeps — the [wfs-bench/1] schema's
     crash-recovery extension.
 
-    A journal is a line-oriented file: one compact-JSON header line
-    [{"schema":"wfs-bench/1-journal", ...params}] followed by one compact
-    JSON object ([{"key":...,"value":...}]) per completed job, appended
-    and flushed as each job finishes.  Keys are the sweep's dedup job keys
-    (see {!Wfs_runner.Spec.to_string} and the bench's custom keys), so a
-    killed sweep restarted with [--resume] skips exactly the jobs whose
-    results survived.
-
-    Reading tolerates the one failure mode an interrupted append can
-    cause: a truncated (unparsable) final line is discarded and every
-    entry before it is kept.  Corruption {e before} the last line is a
-    typed [Bad_spec] error — that file was not produced by an interrupted
-    writer and silently dropping its tail could resurrect stale results.
+    A journal is a framed stream ({!Wfs_util.Jsonl}): a header carrying
+    the sweep [params], then one [{"key":...,"value":...}] record per
+    completed job, appended and flushed as each job finishes.  Keys are
+    the sweep's dedup job keys (see {!Wfs_runner.Spec.to_string} and the
+    bench's custom keys), so a killed sweep restarted with [--resume]
+    skips exactly the jobs whose results survived.  Torn tails and
+    corruption follow the framed-stream rule (docs/ROBUSTNESS.md, "Framed
+    streams").
 
     Appends are mutex-serialized and flushed per line, so the writer can
     be shared by every worker domain of a {!Pool}. *)
@@ -21,9 +16,9 @@
 val schema : string
 (** ["wfs-bench/1-journal"] — the default schema.  Derived journal formats
     (e.g. {!Wfs_topo.Topo_journal}'s ["wfs-bench/1-topo-journal"] epoch
-    snapshots) reuse this module's framing, atomic-append and
-    corruption-handling machinery under their own schema string; a file is
-    only ever readable under the schema it was written with. *)
+    snapshots) reuse this module's atomic appender under their own schema
+    string; a file is only ever readable under the schema it was written
+    with. *)
 
 type writer
 
@@ -54,7 +49,5 @@ type contents = {
 
 val load :
   ?schema:string -> path:string -> unit -> (contents, Wfs_util.Error.t) result
-(** Read a journal back, requiring its header schema to equal [schema]
-    (default {!schema}).  [Error] (kind [Bad_spec]) on a missing file, a
-    bad header, a schema mismatch, or corruption before the final line; a
-    truncated final line alone is silently dropped. *)
+(** Read a journal back under [schema] (default {!schema}); an entry
+    missing its key or value counts as undecodable. *)

@@ -1,7 +1,7 @@
 (** Epoch-granular checkpoint journal for multi-cell runs — the
     ["wfs-bench/1-topo-journal"] derived schema of {!Wfs_runner.Journal}
-    (same line framing, atomic flushed appends, torn-tail tolerance and
-    mid-file corruption refusal; only the header schema differs).
+    (same appender and framed-stream rules, docs/ROBUSTNESS.md "Framed
+    streams"; only the header schema differs).
 
     A topology's full simulation state is closure-held (live scheduler
     instances, channel processes) and cannot be serialized, so resume is

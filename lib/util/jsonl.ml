@@ -1,0 +1,100 @@
+let header ~schema fields = Json.Obj (("schema", Json.Str schema) :: fields)
+
+let header_fields ~schema v =
+  match Option.bind (Json.member "schema" v) Json.to_str with
+  | Some s when String.equal s schema -> (
+      match v with
+      | Json.Obj fields ->
+          Some (List.filter (fun (k, _) -> not (String.equal k "schema")) fields)
+      | _ -> None)
+  | Some _ | None -> None
+
+let decode line = Result.to_option (Json.of_string line)
+
+let schema_of ~path =
+  match In_channel.with_open_bin path In_channel.input_line with
+  | exception Sys_error _ -> None
+  | line ->
+      Option.bind (Option.bind line decode) (fun v ->
+          Option.bind (Json.member "schema" v) Json.to_str)
+
+(* --- writing: one compact record per line, streamed; the only close on
+   the success path is the checked [close_out]. --- *)
+
+type writer = out_channel
+
+let write_line oc line =
+  output_string oc line;
+  output_char oc '\n'
+
+let write oc v = write_line oc (Json.to_string ~pretty:false v)
+
+let create ~path ~schema fields =
+  let oc = open_out_bin path in
+  write oc (header ~schema fields);
+  oc
+
+let reopen ~path =
+  open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
+
+let flush = Stdlib.flush
+let close = close_out
+
+(* [Out_channel.with_open_bin] closes with [close_out_noerr] even on
+   success, which would swallow the final flush error. *)
+let with_out path f =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      let r = f oc in
+      close_out oc;
+      r)
+
+let with_file ~path ~schema fields f =
+  with_out path (fun oc ->
+      write oc (header ~schema fields);
+      f oc)
+
+let write_file ~path ~schema fields encode records =
+  with_file ~path ~schema fields (fun oc ->
+      List.iter (fun r -> write oc (encode r)) records)
+
+(* --- reading, under the one tail rule --- *)
+
+let load ~who ~schema ~header ~record ?(check = fun _ _ -> None) ~path () =
+  let fail ?(context = []) what =
+    Error (Error.v Error.Bad_spec ~who what ~context:(("path", path) :: context))
+  in
+  let read ic =
+    match In_channel.input_line ic with
+    | None -> fail "empty stream (no header)"
+    | Some line -> (
+        match
+          Option.bind
+            (Option.bind (decode line) (header_fields ~schema))
+            header
+        with
+        | None -> fail ("header is not a " ^ schema ^ " header")
+        | Some h ->
+            let rec go acc n =
+              match In_channel.input_line ic with
+              | None -> Ok (h, List.rev acc)
+              | Some line -> (
+                  let at = [ ("line", string_of_int n) ] in
+                  match Option.bind (decode line) record with
+                  | None ->
+                      (* A torn append can only be the last line. *)
+                      if Option.is_none (In_channel.input_line ic) then
+                        Ok (h, List.rev acc)
+                      else fail "corrupt record before end of stream" ~context:at
+                  | Some r -> (
+                      match check h r with
+                      | None -> go (r :: acc) (n + 1)
+                      | Some what -> fail what ~context:at))
+            in
+            go [] 2)
+  in
+  match In_channel.with_open_bin path read with
+  | result -> result
+  | exception Sys_error msg -> fail msg

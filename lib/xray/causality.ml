@@ -1,5 +1,5 @@
 module Json = Wfs_util.Json
-module Error = Wfs_util.Error
+module Jsonl = Wfs_util.Jsonl
 module Sched = Wfs_core.Wireless_sched
 
 let schema = "wfs-causality/1"
@@ -153,65 +153,15 @@ let record t e =
 let events t = List.rev t.rev
 let count t = t.n
 
-(* --- file round-trip (Journal convention: torn final line dropped,
-   corruption mid-file refused). --- *)
+(* --- file round-trip: a framed stream with no header fields --- *)
 
-let header_line = Json.to_string ~pretty:false (Json.Obj [ ("schema", Json.Str schema) ])
-
-let write ~path events =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc header_line;
-      output_char oc '\n';
-      List.iter
-        (fun e ->
-          output_string oc (event_to_string e);
-          output_char oc '\n')
-        events)
-
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
+let write ~path events = Jsonl.write_file ~path ~schema [] event_to_json events
 
 let load ~path =
-  let fail what context =
-    Error
-      (Error.v Error.Bad_spec ~who:"Causality.load" what
-         ~context:(("path", path) :: context))
-  in
-  match read_lines path with
-  | exception Sys_error msg -> fail msg []
-  | [] -> fail "empty causality log (no header)" []
-  | hline :: rest -> (
-      match Json.of_string hline with
-      | Error msg -> fail "unreadable header" [ ("detail", msg) ]
-      | Ok hv -> (
-          match Option.bind (Json.member "schema" hv) Json.to_str with
-          | Some s when String.equal s schema ->
-              let n = List.length rest in
-              let rec go acc i = function
-                | [] -> Ok (List.rev acc)
-                | line :: tl -> (
-                    match event_of_string line with
-                    | Some e -> go (e :: acc) (i + 1) tl
-                    | None ->
-                        if i = n - 1 then Ok (List.rev acc)
-                        else
-                          fail "corrupt event before end of log"
-                            [ ("line", string_of_int (i + 2)) ])
-              in
-              go [] 0 rest
-          | _ -> fail "header is not a wfs-causality/1 header" []))
+  Jsonl.load ~who:"Causality.load" ~schema
+    ~header:(fun _ -> Some ())
+    ~record:event_of_json ~path ()
+  |> Result.map snd
 
 (* --- per-flow replay helpers --- *)
 

@@ -9,9 +9,8 @@
     what lag/credit it carried across each handoff, how much the importing
     scheduler's clamp truncated, and which chaos verdict each handoff drew.
 
-    Like every stream in this repo, {!load} follows the Journal convention:
-    a torn {e final} line (interrupted append) is dropped, a bad line
-    followed by valid lines is corruption and refuses to load. *)
+    The file is a framed stream ({!Wfs_util.Jsonl}; docs/ROBUSTNESS.md,
+    "Framed streams") with no header fields. *)
 
 val schema : string
 (** ["wfs-causality/1"] *)
@@ -71,8 +70,6 @@ val count : t -> int
 val write : path:string -> event list -> unit
 
 val load : path:string -> (event list, Wfs_util.Error.t) result
-(** Torn final line dropped; mid-file corruption, a missing header or a
-    wrong schema tag yield [Error] (kind [Bad_spec]). *)
 
 (** {1 Per-flow replay} *)
 

@@ -1,5 +1,6 @@
 module Json = Wfs_util.Json
 module Error = Wfs_util.Error
+module Jsonl = Wfs_util.Jsonl
 module Sched = Wfs_core.Wireless_sched
 module Channel = Wfs_channel.Channel
 module Trace = Wfs_obs.Trace
@@ -170,16 +171,6 @@ let abort t =
     remove_parts t
   end
 
-(* --- merged header --- *)
-
-let header_to_json ~cells ~n_flows ~stride ~params =
-  Json.Obj
-    (("schema", Json.Str schema)
-    :: ("cells", Json.Int cells)
-    :: ("n_flows", Json.Int n_flows)
-    :: ("stride", Json.Int stride)
-    :: params)
-
 (* --- deterministic k-way merge.
 
    Each part is already slot-ordered (one cell's own timeline), so the
@@ -272,6 +263,31 @@ let csv_row buf ~n_flows ~rosters (cell : int) (s : Trace.sample) =
     by_gid;
   Buffer.add_char buf '\n'
 
+(* Run [f] with the optional outputs open; each closes checked on success
+   and unchecked when [f] raises. *)
+let with_outputs t ~n_flows ?jsonl ?csv f =
+  let with_jsonl k =
+    match jsonl with
+    | None -> k None
+    | Some path ->
+        Jsonl.with_file ~path ~schema
+          (("cells", Json.Int t.cells)
+          :: ("n_flows", Json.Int n_flows)
+          :: ("stride", Json.Int t.stride)
+          :: t.params)
+          (fun w -> k (Some w))
+  in
+  let with_csv k =
+    match csv with
+    | None -> k None
+    | Some path ->
+        Jsonl.with_out path (fun oc ->
+            output_string oc (String.concat "," (csv_columns n_flows));
+            output_char oc '\n';
+            k (Some oc))
+  in
+  with_jsonl (fun jout -> with_csv (fun cout -> f jout cout))
+
 let finish t ~n_flows ?jsonl ?csv () =
   let who = "Mux.finish" in
   if t.finished then Error.bad_config ~who "mux already finished";
@@ -288,26 +304,7 @@ let finish t ~n_flows ?jsonl ?csv () =
         ~finally:(fun () -> Array.iter (fun cu -> close_in_noerr cu.ic) cursors)
         (fun () ->
           Array.iter (advance_cursor ~who) cursors;
-          let jout = Option.map open_out_bin jsonl in
-          let cout = Option.map open_out_bin csv in
-          Fun.protect
-            ~finally:(fun () ->
-              Option.iter close_out_noerr jout;
-              Option.iter close_out_noerr cout)
-            (fun () ->
-              Option.iter
-                (fun oc ->
-                  output_string oc
-                    (Json.to_string ~pretty:false
-                       (header_to_json ~cells:t.cells ~n_flows
-                          ~stride:t.stride ~params:t.params));
-                  output_char oc '\n')
-                jout;
-              Option.iter
-                (fun oc ->
-                  output_string oc (String.concat "," (csv_columns n_flows));
-                  output_char oc '\n')
-                cout;
+          with_outputs t ~n_flows ?jsonl ?csv (fun jout cout ->
               let rosters = Array.make t.cells None in
               let buf = Buffer.create 256 in
               let rec loop () =
@@ -331,11 +328,7 @@ let finish t ~n_flows ?jsonl ?csv () =
                     (match cu.cur with
                     | None -> ()
                     | Some (_, _, line) ->
-                        Option.iter
-                          (fun oc ->
-                            output_string oc line;
-                            output_char oc '\n')
-                          jout;
+                        Option.iter (fun w -> Jsonl.write_line w line) jout;
                         (match entry_of_string line with
                         | Some (Roster { cell; gids; _ }) ->
                             rosters.(cell) <- Some gids
@@ -361,77 +354,26 @@ type contents = {
   entries : entry list;
 }
 
-let header_of_json v =
-  let ( let* ) = Option.bind in
-  let* s = Option.bind (Json.member "schema" v) Json.to_str in
-  if not (String.equal s schema) then None
-  else
-    let* cells = Option.bind (Json.member "cells" v) Json.to_int in
-    let* n_flows = Option.bind (Json.member "n_flows" v) Json.to_int in
-    let* stride = Option.bind (Json.member "stride" v) Json.to_int in
+let load ~path =
+  let header fields =
+    let ( let* ) = Option.bind in
+    let int key = Option.bind (Json.member key (Json.Obj fields)) Json.to_int in
+    let* cells = int "cells" in
+    let* n_flows = int "n_flows" in
+    let* stride = int "stride" in
     if cells < 1 || n_flows < 1 || stride < 1 then None
     else
       let params =
-        match v with
-        | Json.Obj fields ->
-            List.filter
-              (fun (k, _) -> not (List.exists (String.equal k) reserved))
-              fields
-        | _ -> []
+        List.filter
+          (fun (k, _) -> not (List.exists (String.equal k) reserved))
+          fields
       in
-      Some (cells, n_flows, stride, params)
-
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
-
-let load ~path =
-  let fail what context =
-    Error
-      (Error.v Error.Bad_spec ~who:"Mux.load" what
-         ~context:(("path", path) :: context))
+      Some { cells; n_flows; stride; params; entries = [] }
   in
-  match read_lines path with
-  | exception Sys_error msg -> fail msg []
-  | [] -> fail "empty xray trace (no header)" []
-  | hline :: rest -> (
-      match Json.of_string hline with
-      | Error msg -> fail "unreadable header" [ ("detail", msg) ]
-      | Ok hv -> (
-          match header_of_json hv with
-          | None -> fail "header is not a wfs-xray-trace/1 header" []
-          | Some (cells, n_flows, stride, params) ->
-              let n = List.length rest in
-              let rec go acc i = function
-                | [] ->
-                    Ok { cells; n_flows; stride; params; entries = List.rev acc }
-                | line :: tl -> (
-                    match entry_of_string line with
-                    | Some e ->
-                        if entry_cell e < 0 || entry_cell e >= cells then
-                          fail "entry cell outside header cells"
-                            [ ("line", string_of_int (i + 2)) ]
-                        else go (e :: acc) (i + 1) tl
-                    | None ->
-                        if i = n - 1 then
-                          Ok
-                            {
-                              cells;
-                              n_flows;
-                              stride;
-                              params;
-                              entries = List.rev acc;
-                            }
-                        else
-                          fail "corrupt entry before end of trace"
-                            [ ("line", string_of_int (i + 2)) ])
-              in
-              go [] 0 rest))
+  Jsonl.load ~who:"Mux.load" ~schema ~header ~record:entry_of_json
+    ~check:(fun h e ->
+      if entry_cell e < 0 || entry_cell e >= h.cells then
+        Some "entry cell outside header cells"
+      else None)
+    ~path ()
+  |> Result.map (fun (h, entries) -> { h with entries })

@@ -12,9 +12,10 @@
     and a failed (chaos-injected, retried) cell epoch writes no samples —
     injection happens before the cell advances.
 
-    The merged stream is line-oriented: a JSON header line ([schema],
-    [cells], [n_flows], [stride], free-form params), then one compact JSON
-    object per entry.  Sample lines reuse the wfs-trace/1 sample codec
+    The merged stream is a framed stream ({!Wfs_util.Jsonl};
+    docs/ROBUSTNESS.md, "Framed streams") whose header carries [cells],
+    [n_flows], [stride] and free-form params, with one entry per line.
+    Sample lines reuse the wfs-trace/1 sample codec
     bit-exactly, with a [cell] field prepended; roster lines
     [{"cell":c,"slot":s,"roster":[gids]}] map each cell's local flow
     indices to global ids as membership changes across handoffs. *)
@@ -80,8 +81,9 @@ val finish : t -> n_flows:int -> ?jsonl:string -> ?csv:string -> unit -> unit
     [slot,cell,selected,virtual_time,lag_sum] then [q/good/tag/credit] per
     GLOBAL flow id, empty for flows not resident in the sample's cell
     (presence encoding, like the single-cell CSV sink); [selected] is
-    translated to a global id.  Idempotence guard: a finished (or aborted)
-    mux refuses further writes. *)
+    translated to a global id.  A failed final flush of either output
+    raises [Sys_error].  Idempotence guard: a finished (or aborted) mux
+    refuses further writes. *)
 
 val abort : t -> unit
 (** Close and delete the parts without merging (failure path). *)
@@ -97,6 +99,5 @@ type contents = {
 }
 
 val load : path:string -> (contents, Wfs_util.Error.t) result
-(** Journal convention: torn final line dropped; mid-file corruption, a
-    missing header or a wrong schema tag yield [Error] (kind
-    [Bad_spec]). *)
+(** An entry whose cell lies outside the header's [cells] is refused
+    wherever it appears. *)

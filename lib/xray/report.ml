@@ -1,8 +1,9 @@
-module Json = Wfs_util.Json
 module Error = Wfs_util.Error
 module Tablefmt = Wfs_util.Tablefmt
 module Fairness = Wfs_core.Fairness
 module Trace = Wfs_obs.Trace
+module Jsonl = Wfs_util.Jsonl
+module Chaos = Wfs_chaos.Chaos
 
 type section = {
   heading : string;
@@ -240,116 +241,63 @@ let of_windows (c : Windowed.contents) =
 let of_skip k =
   section ~heading:"fast-path skip telemetry" [ Skip_telemetry.to_table k ]
 
-(* --- chaos timelines (wfs-chaos/1-timeline JSONL).  Parsed generically —
-   one {"spec":...,"event":{"slot":...,"fault":{"kind":...}}} per line —
-   and summarized per fault kind, so the report needs no dependency on the
-   chaos library itself. --- *)
+(* --- chaos timelines, summarized per fault kind --- *)
 
 let of_timeline ~path =
-  let fail what context =
-    Error
-      (Error.v Error.Bad_spec ~who:"Report.of_timeline" what
-         ~context:(("path", path) :: context))
-  in
-  let read_lines () =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
-  in
-  match read_lines () with
-  | exception Sys_error msg -> fail msg []
-  | [] -> fail "empty timeline (no header)" []
-  | hline :: rest -> (
-      match Json.of_string hline with
-      | Error msg -> fail "unreadable header" [ ("detail", msg) ]
-      | Ok hv -> (
-          match Option.bind (Json.member "schema" hv) Json.to_str with
-          | Some s when String.equal s "wfs-chaos/1-timeline" ->
-              let kinds : (string, int * int * int) Hashtbl.t =
-                Hashtbl.create 8
-              in
-              let kind_names = ref [] in
-              let total = ref 0 in
-              let n = List.length rest in
-              let rec go i = function
-                | [] -> Ok ()
-                | line :: tl -> (
-                    match Json.of_string line with
-                    | Error _ ->
-                        if i = n - 1 then Ok ()
-                        else
-                          fail "corrupt timeline line"
-                            [ ("line", string_of_int (i + 2)) ]
-                    | Ok v -> (
-                        let slot =
-                          Option.bind
-                            (Option.bind (Json.member "event" v)
-                               (Json.member "slot"))
-                            Json.to_int
-                        in
-                        let kind =
-                          Option.bind
-                            (Option.bind
-                               (Option.bind (Json.member "event" v)
-                                  (Json.member "fault"))
-                               (Json.member "kind"))
-                            Json.to_str
-                        in
-                        match (slot, kind) with
-                        | Some slot, Some kind ->
-                            incr total;
-                            let lo, hi, k =
-                              match Hashtbl.find_opt kinds kind with
-                              | None ->
-                                  kind_names := kind :: !kind_names;
-                                  (slot, slot, 0)
-                              | Some (lo, hi, k) -> (lo, hi, k)
-                            in
-                            Hashtbl.replace kinds kind
-                              (Int.min lo slot, Int.max hi slot, k + 1);
-                            go (i + 1) tl
-                        | _, _ ->
-                            if i = n - 1 then Ok ()
-                            else
-                              fail "timeline line has no event kind"
-                                [ ("line", string_of_int (i + 2)) ]))
-              in
-              Result.map
-                (fun () ->
-                  let t =
-                    Tablefmt.create ~title:"fault timeline"
-                      ~columns:[ "kind"; "events"; "first slot"; "last slot" ]
-                  in
-                  let sorted =
-                    List.filter_map
-                      (fun k ->
-                        Option.map
-                          (fun v -> (k, v))
-                          (Hashtbl.find_opt kinds k))
-                      (List.sort String.compare !kind_names)
-                  in
-                  List.iter
-                    (fun (kind, (lo, hi, k)) ->
-                      Tablefmt.add_row t
-                        [
-                          kind;
-                          string_of_int k;
-                          string_of_int lo;
-                          string_of_int hi;
-                        ])
-                    sorted;
-                  section ~heading:"chaos timeline"
-                    ~notes:[ Printf.sprintf "%d events" !total ]
-                    [ t ])
-                (go 0 rest)
-          | _ -> fail "header is not a wfs-chaos/1-timeline header" []))
+  Jsonl.load ~who:"Report.of_timeline" ~schema:Chaos.timeline_schema
+    ~header:(fun _ -> Some ())
+    ~record:Chaos.timeline_entry_of_json ~path ()
+  |> Result.map (fun ((), entries) ->
+         let events = List.map snd entries in
+         let kind (ev : Chaos.event) = Chaos.fault_kind ev.Chaos.fault in
+         let t =
+           Tablefmt.create ~title:"fault timeline"
+             ~columns:[ "kind"; "events"; "first slot"; "last slot" ]
+         in
+         List.iter
+           (fun k ->
+             let slots =
+               List.filter_map
+                 (fun (ev : Chaos.event) ->
+                   if String.equal (kind ev) k then Some ev.Chaos.slot else None)
+                 events
+             in
+             Tablefmt.add_row t
+               [
+                 k;
+                 string_of_int (List.length slots);
+                 string_of_int (List.fold_left Int.min max_int slots);
+                 string_of_int (List.fold_left Int.max min_int slots);
+               ])
+           (List.sort_uniq String.compare (List.map kind events));
+         section ~heading:"chaos timeline"
+           ~notes:[ Printf.sprintf "%d events" (List.length events) ]
+           [ t ])
+
+(* --- any artifact, dispatched on its schema tag --- *)
+
+let of_file ~path =
+  let loaded load render = Result.map render (load ~path) in
+  match Jsonl.schema_of ~path with
+  | Some s when String.equal s Trace.schema -> loaded Trace.load of_trace
+  | Some s when String.equal s Mux.schema -> loaded Mux.load of_xray
+  | Some s when String.equal s Causality.schema ->
+      loaded Causality.load of_causality
+  | Some s when String.equal s Windowed.schema -> loaded Windowed.load of_windows
+  | Some s when String.equal s Chaos.timeline_schema -> of_timeline ~path
+  | Some s when not (String.equal s Wfs_runner.Artifact.schema_version) ->
+      Error
+        (Error.v Error.Bad_spec ~who:"Report.of_file" "unknown schema"
+           ~context:[ ("path", path); ("schema", s) ])
+  | Some _ | None -> (
+      (* A pretty-printed wfs-bench/1 document has no header line; the
+         artifact reader checks its schema over the whole document. *)
+      match Wfs_runner.Artifact.read path with
+      | Ok a -> Ok (of_artifact a)
+      | Error msg ->
+          Error
+            (Error.v Error.Bad_spec ~who:"Report.of_file" msg
+               ~context:[ ("path", path) ]))
 
 (* --- rendering --- *)
 
@@ -450,3 +398,7 @@ let to_html ~title sections =
     sections;
   Buffer.add_string buf "</body></html>\n";
   Buffer.contents buf
+
+let write_html ~path ~title sections =
+  Jsonl.with_out path (fun oc ->
+      output_string oc (to_html ~title sections))

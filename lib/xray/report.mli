@@ -40,8 +40,15 @@ val of_windows : Windowed.contents -> section
 val of_skip : Wfs_core.Skip_stats.t -> section
 
 val of_timeline : path:string -> (section, Wfs_util.Error.t) result
-(** Parse a wfs-chaos/1-timeline JSONL file (schema-checked, torn final
-    line tolerated) and summarize events per fault kind. *)
+(** Load a {!Wfs_chaos.Chaos.timeline_schema} fault timeline and
+    summarize events per fault kind. *)
+
+val of_file : path:string -> (section, Wfs_util.Error.t) result
+(** Load any artifact above and render its section, dispatched on the
+    schema tag: a framed stream's header line ({!Wfs_util.Jsonl.schema_of})
+    or, for a pretty-printed wfs-bench/1 document, the whole document
+    ({!Wfs_runner.Artifact.read}).  An unknown schema is an [Error] (kind
+    [Bad_spec]) naming the path and the schema. *)
 
 val to_text : section list -> string
 
@@ -51,3 +58,7 @@ val print : section list -> unit
 
 val to_html : title:string -> section list -> string
 (** A single self-contained HTML page (inline CSS, escaped cells). *)
+
+val write_html : path:string -> title:string -> section list -> unit
+(** Write {!to_html} to [path]; a failed final flush raises
+    [Sys_error]. *)

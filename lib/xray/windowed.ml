@@ -1,5 +1,6 @@
 module Json = Wfs_util.Json
 module Error = Wfs_util.Error
+module Jsonl = Wfs_util.Jsonl
 module Metrics = Wfs_core.Metrics
 module Fairness = Wfs_core.Fairness
 
@@ -196,69 +197,22 @@ let windows t = List.rev t.rev
 
 let observer t = fun slot metrics -> observe t ~slot ~metrics
 
-(* --- file round-trip (Journal convention). --- *)
+(* --- file round-trip: a framed stream whose header carries the window
+   length. --- *)
 
 type contents = { window : int; windows : window list }
 
-let header_to_string ~window =
-  Json.to_string ~pretty:false
-    (Json.Obj [ ("schema", Json.Str schema); ("window", Json.Int window) ])
-
 let write ~path ~window windows =
   if window < 1 then Error.bad_config ~who:"Windowed.write" "window must be >= 1";
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (header_to_string ~window);
-      output_char oc '\n';
-      List.iter
-        (fun w ->
-          output_string oc (window_to_string w);
-          output_char oc '\n')
-        windows)
+  Jsonl.write_file ~path ~schema [ ("window", Json.Int window) ] window_to_json
+    windows
 
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
+let window_of_fields fields =
+  match Option.bind (Json.member "window" (Json.Obj fields)) Json.to_int with
+  | Some window when window >= 1 -> Some window
+  | Some _ | None -> None
 
 let load ~path =
-  let fail what context =
-    Error
-      (Error.v Error.Bad_spec ~who:"Windowed.load" what
-         ~context:(("path", path) :: context))
-  in
-  match read_lines path with
-  | exception Sys_error msg -> fail msg []
-  | [] -> fail "empty window log (no header)" []
-  | hline :: rest -> (
-      match Json.of_string hline with
-      | Error msg -> fail "unreadable header" [ ("detail", msg) ]
-      | Ok hv -> (
-          match
-            ( Option.bind (Json.member "schema" hv) Json.to_str,
-              Option.bind (Json.member "window" hv) Json.to_int )
-          with
-          | Some s, Some window when String.equal s schema && window >= 1 ->
-              let n = List.length rest in
-              let rec go acc i = function
-                | [] -> Ok { window; windows = List.rev acc }
-                | line :: tl -> (
-                    match window_of_string line with
-                    | Some w -> go (w :: acc) (i + 1) tl
-                    | None ->
-                        if i = n - 1 then Ok { window; windows = List.rev acc }
-                        else
-                          fail "corrupt window before end of log"
-                            [ ("line", string_of_int (i + 2)) ])
-              in
-              go [] 0 rest
-          | _, _ -> fail "header is not a wfs-windows/1 header" []))
+  Jsonl.load ~who:"Windowed.load" ~schema ~header:window_of_fields
+    ~record:window_of_json ~path ()
+  |> Result.map (fun (window, windows) -> { window; windows })

@@ -71,6 +71,5 @@ type contents = { window : int; windows : window list }
 val write : path:string -> window:int -> window list -> unit
 
 val load : path:string -> (contents, Wfs_util.Error.t) result
-(** Journal convention: torn final line dropped; mid-file corruption, a
-    missing header or a wrong schema tag yield [Error] (kind
-    [Bad_spec]). *)
+(** A framed stream ({!Wfs_util.Jsonl}; docs/ROBUSTNESS.md, "Framed
+    streams") whose header carries the window length. *)

@@ -749,7 +749,7 @@ let prop_per_flow_fifo =
       let master = Rng.create seed in
       let fifo_ok make_sched =
         let sched = make_sched flows in
-        let trace = Wfs_sim.Tracelog.create () in
+        let trace = Wfs_core.Tracelog.create () in
         let setups =
           Array.init n (fun i ->
               {
@@ -765,14 +765,14 @@ let prop_per_flow_fifo =
         ignore (Core.Simulator.run cfg sched);
         let last_seq = Array.make n (-1) in
         List.for_all
-          (fun { Wfs_sim.Tracelog.event; _ } ->
+          (fun { Wfs_core.Tracelog.event; _ } ->
             match event with
-            | Wfs_sim.Tracelog.Transmit_ok { flow; seq; _ } ->
+            | Wfs_core.Tracelog.Transmit_ok { flow; seq; _ } ->
                 let ok = seq > last_seq.(flow) in
                 last_seq.(flow) <- seq;
                 ok
             | _ -> true)
-          (Wfs_sim.Tracelog.events trace)
+          (Wfs_core.Tracelog.events trace)
       in
       fifo_ok (fun flows ->
           Core.Wps.instance (Core.Wps.create ~params:(Core.Params.swapa ()) flows))

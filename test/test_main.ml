@@ -21,5 +21,6 @@ let () =
       ("integration", Test_integration.suite);
       ("obs", Test_obs.suite);
       ("xray", Test_xray.suite);
+      ("jsonl", Test_jsonl.suite);
       ("analysis_kit", Test_analysis_kit.suite);
     ]

@@ -14,7 +14,7 @@ module Trace = Wfs_obs.Trace
 module Sink = Wfs_obs.Sink
 module Instruments = Wfs_obs.Instruments
 module Probe = Wfs_obs.Probe
-module Tracelog = Wfs_sim.Tracelog
+module Tracelog = Wfs_core.Tracelog
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

@@ -1,67 +1,9 @@
-(* Tests for the simulation engine: event queue, clock, slotted driver,
-   trace log. *)
+(* Tests for the simulator's structured event trace (Wfs_core.Tracelog). *)
 
-module Eq = Wfs_sim.Event_queue
-module Clock = Wfs_sim.Clock
-module Slotted = Wfs_sim.Slotted
-module Tracelog = Wfs_sim.Tracelog
+module Tracelog = Wfs_core.Tracelog
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-
-let test_event_queue_order () =
-  let q = Eq.create () in
-  Eq.schedule q ~at:3. "c";
-  Eq.schedule q ~at:1. "a";
-  Eq.schedule q ~at:2. "b";
-  let out = List.init 3 (fun _ -> snd (Option.get (Eq.pop q))) in
-  Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] out
-
-let test_event_queue_same_time_fifo () =
-  let q = Eq.create () in
-  Eq.schedule q ~at:1. "first";
-  Eq.schedule q ~at:1. "second";
-  Alcotest.(check string) "fifo" "first" (snd (Option.get (Eq.pop q)));
-  Alcotest.(check string) "fifo" "second" (snd (Option.get (Eq.pop q)))
-
-let test_event_queue_nan () =
-  let q = Eq.create () in
-  Alcotest.check_raises "NaN rejected"
-    (Invalid_argument "Event_queue.schedule: NaN time") (fun () ->
-      Eq.schedule q ~at:nan "x")
-
-let test_event_queue_next_time () =
-  let q = Eq.create () in
-  Alcotest.(check (option (float 0.))) "empty" None (Eq.next_time q);
-  Eq.schedule q ~at:5. ();
-  Alcotest.(check (option (float 0.))) "peek" (Some 5.) (Eq.next_time q);
-  check_int "length" 1 (Eq.length q)
-
-let test_clock_advance () =
-  let c = Clock.create () in
-  Alcotest.(check (float 0.)) "starts at 0" 0. (Clock.now c);
-  Clock.advance_to c 2.5;
-  Alcotest.(check (float 0.)) "advanced" 2.5 (Clock.now c);
-  Alcotest.check_raises "no going back"
-    (Invalid_argument "Clock.advance_to: 1 precedes current time 2.5")
-    (fun () -> Clock.advance_to c 1.)
-
-let test_slotted_run () =
-  let s = Slotted.create () in
-  let seen = ref [] in
-  Slotted.run s ~slots:3 (fun i -> seen := i :: !seen);
-  Alcotest.(check (list int)) "slots in order" [ 2; 1; 0 ] !seen;
-  (* A second run continues numbering. *)
-  Slotted.run s ~slots:2 (fun i -> seen := i :: !seen);
-  Alcotest.(check (list int)) "continues" [ 4; 3; 2; 1; 0 ] !seen
-
-let test_slotted_run_until () =
-  let s = Slotted.create () in
-  let n = Slotted.run_until s (fun i -> i < 4) ~max_slots:100 in
-  check_int "stopped by predicate" 5 n;
-  Slotted.reset s;
-  let n = Slotted.run_until s (fun _ -> true) ~max_slots:7 in
-  check_int "stopped by cap" 7 n
 
 let test_tracelog_basic () =
   let t = Tracelog.create () in
@@ -95,13 +37,6 @@ let test_tracelog_pp () =
 
 let suite =
   [
-    ("event queue order", `Quick, test_event_queue_order);
-    ("event queue same-time FIFO", `Quick, test_event_queue_same_time_fifo);
-    ("event queue rejects NaN", `Quick, test_event_queue_nan);
-    ("event queue next_time", `Quick, test_event_queue_next_time);
-    ("clock advance", `Quick, test_clock_advance);
-    ("slotted run", `Quick, test_slotted_run);
-    ("slotted run_until", `Quick, test_slotted_run_until);
     ("tracelog basic", `Quick, test_tracelog_basic);
     ("tracelog disabled", `Quick, test_tracelog_disabled);
     ("tracelog clear", `Quick, test_tracelog_clear);

@@ -139,24 +139,24 @@ let test_observer_called_every_slot () =
   check_int "one call per slot" 123 !calls
 
 let test_trace_records_lifecycle () =
-  let trace = Wfs_sim.Tracelog.create () in
+  let trace = Wfs_core.Tracelog.create () in
   let source = Wfs_traffic.Trace_source.of_slots [ 0; 1 ] in
   let setups = [| setup 0 ~source ~channel:(Wfs_channel.Error_free.create ()) |] in
   let cfg = Core.Simulator.config ~trace ~horizon:5 setups in
   ignore (Core.Simulator.run cfg (wrr_sched (Core.Presets.flows_of setups)));
-  let count p = Wfs_sim.Tracelog.count trace p in
+  let count p = Wfs_core.Tracelog.count trace p in
   check_int "2 arrivals" 2
     (count (fun e ->
-         match e.Wfs_sim.Tracelog.event with
-         | Wfs_sim.Tracelog.Arrival _ -> true
+         match e.Wfs_core.Tracelog.event with
+         | Wfs_core.Tracelog.Arrival _ -> true
          | _ -> false));
   check_int "2 deliveries" 2
     (count (fun e ->
-         match e.Wfs_sim.Tracelog.event with
-         | Wfs_sim.Tracelog.Transmit_ok _ -> true
+         match e.Wfs_core.Tracelog.event with
+         | Wfs_core.Tracelog.Transmit_ok _ -> true
          | _ -> false));
   check_int "3 idle slots" 3
-    (count (fun e -> e.Wfs_sim.Tracelog.event = Wfs_sim.Tracelog.Slot_idle))
+    (count (fun e -> e.Wfs_core.Tracelog.event = Wfs_core.Tracelog.Slot_idle))
 
 let test_metrics_backlog_remaining () =
   (* Arrivals that neither got delivered nor dropped remain backlogged. *)

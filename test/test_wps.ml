@@ -4,7 +4,7 @@
 
 module Core = Wfs_core
 module Packet = Wfs_traffic.Packet
-module Tracelog = Wfs_sim.Tracelog
+module Tracelog = Wfs_core.Tracelog
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

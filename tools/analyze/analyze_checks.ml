@@ -54,7 +54,7 @@ let chain_string via =
 let direct_taint_msg d src =
   Printf.sprintf
     "%s uses ambient nondeterminism source %s; draw from the seeded \
-     Wfs_util.Rng / Wfs_sim.Clock boundary instead"
+     Wfs_util.Rng boundary instead"
     d.def_name src
 
 let check_a1 m ~allow ~sink =
@@ -84,7 +84,7 @@ let check_a1 m ~allow ~sink =
         | [] -> ())
     defs;
   (* Propagate along the call graph until fixpoint.  A call through the
-     sanctioned Rng/Clock boundary never propagates (their defs are never
+     sanctioned Rng boundary never propagates (their defs are never
      tainted), so the cut is structural. *)
   let changed = ref true in
   while !changed do
@@ -124,7 +124,7 @@ let check_a1 m ~allow ~sink =
                    (Printf.sprintf
                       "%s transitively reaches ambient nondeterminism \
                        source %s (via %s); thread the seeded Wfs_util.Rng \
-                       / Wfs_sim.Clock state through this path"
+                       state through this path"
                       d.def_name src (chain_string via))
                  loc)
         | None -> ());

@@ -172,7 +172,7 @@ let is_ambient_source name =
 
 (* The blessed determinism boundary: calls into these modules do not
    propagate taint, and definitions inside them are never tainted. *)
-let sanctioned_units = [ "Wfs_util.Rng"; "Wfs_sim.Clock" ]
+let sanctioned_units = [ "Wfs_util.Rng" ]
 
 let in_sanctioned_unit unit_name =
   List.exists (String.equal unit_name) sanctioned_units

@@ -23,7 +23,7 @@ let help =
       "determinism taint over the cross-module call graph: any lib/ \
        function that transitively reaches an ambient-nondeterminism \
        source (Random.*, wall-clock reads, hash-order iteration) without \
-       going through the seeded Wfs_util.Rng / Wfs_sim.Clock boundary is \
+       going through the seeded Wfs_util.Rng boundary is \
        flagged, and so is any alias-resolved use of the polymorphic \
        runtime comparator at a non-immediate type (the cases the \
        syntactic R1/R2 rules cannot see)" );

@@ -68,7 +68,7 @@ let r1_message name =
   | "Unix" | "Sys" ->
       Printf.sprintf
         "%s reads wall-clock state; simulation time must flow through \
-         Wfs_sim.Clock / slot indices only" name
+         slot indices only" name
   | _ ->
       Printf.sprintf
         "%s visits bindings in hash order, which is not a stable order \
