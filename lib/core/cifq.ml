@@ -4,7 +4,7 @@ module Flow_set = Wfs_util.Flow_set
 
 type flow_state = {
   cfg : Params.flow;
-  packets : Packet.t Queue.t;
+  packets : Packet.Ring.t;
   mutable v : float;  (* reference-system virtual time *)
   mutable lag : int;  (* reference service − real service, packets *)
   mutable selected_leading : int;  (* times picked by the reference while leading *)
@@ -45,7 +45,7 @@ let create ?(alpha = 0.9) ?(naive = false) flows =
           (fun cfg ->
             {
               cfg;
-              packets = Queue.create ();
+              packets = Packet.Ring.create ();
               v = 0.;
               lag = 0;
               selected_leading = 0;
@@ -68,7 +68,7 @@ let create ?(alpha = 0.9) ?(naive = false) flows =
   t.accept_other <- (fun j -> j <> t.skip && t.pred j);
   t
 
-let backlogged fs = not (Queue.is_empty fs.packets)
+let backlogged fs = not (Packet.Ring.is_empty fs.packets)
 
 (* An "active" flow for the reference system: one with real work.  (The
    full CIF-Q also keeps flows active while they are owed/owing service;
@@ -193,7 +193,7 @@ let[@hot] select t ~slot:_ ~predicted_good =
    virtual time is frozen while it is absent and re-indexed on return. *)
 let index_if_became_backlogged t flow =
   let fs = t.flows.(flow) in
-  if Queue.length fs.packets = 1 then begin
+  if Packet.Ring.length fs.packets = 1 then begin
     Flow_set.add t.backlog flow;
     Flow_heap.set t.heap ~flow ~tag:fs.v
   end
@@ -205,51 +205,33 @@ let deindex_if_empty t flow =
   end
 
 let enqueue t ~slot:_ (pkt : Packet.t) =
-  Queue.push pkt t.flows.(pkt.flow).packets;
+  Packet.Ring.push t.flows.(pkt.flow).packets pkt;
   index_if_became_backlogged t pkt.flow
 
-let head t flow = Queue.peek_opt t.flows.(flow).packets
-
-let complete t ~flow =
-  (match Queue.pop t.flows.(flow).packets with
-  | exception Queue.Empty -> Wfs_util.Error.empty_queue "Cifq.complete"
-  | _ -> ());
+let pop t ~flow ~who =
+  let q = t.flows.(flow).packets in
+  if Packet.Ring.is_empty q then Wfs_util.Error.empty_queue who;
+  Packet.Ring.pop_front q;
   deindex_if_empty t flow
+
+let complete t ~flow = pop t ~flow ~who:"Cifq.complete"
 
 (* A failed transmission: the real service did not happen after all, so the
    credit taken in [select] is returned. *)
 let fail t ~flow = t.flows.(flow).lag <- t.flows.(flow).lag + 1
 
-let drop_head t ~flow =
-  (match Queue.pop t.flows.(flow).packets with
-  | exception Queue.Empty -> Wfs_util.Error.empty_queue "Cifq.drop_head"
-  | _ -> ());
-  deindex_if_empty t flow
-
-let rec drop_expired_loop q ~now ~bound acc =
-  match Queue.peek_opt q with
-  | Some pkt when Packet.age pkt ~now > bound ->
-      ignore (Queue.take_opt q);
-      drop_expired_loop q ~now ~bound (pkt :: acc)
-  | Some _ | None -> List.rev acc
-
-let drop_expired t ~flow ~now ~bound =
-  let dropped = drop_expired_loop t.flows.(flow).packets ~now ~bound [] in
-  deindex_if_empty t flow;
-  dropped
-
-let queue_length t flow = Queue.length t.flows.(flow).packets
+let drop_head t ~flow = pop t ~flow ~who:"Cifq.drop_head"
+let queue_length t flow = Packet.Ring.length t.flows.(flow).packets
 
 let instance t =
   {
     Wireless_sched.name = "CIF-Q";
     enqueue = (fun ~slot pkt -> enqueue t ~slot pkt);
     select = (fun ~slot ~predicted_good -> select t ~slot ~predicted_good);
-    head = head t;
+    packets = (fun flow -> t.flows.(flow).packets);
     complete = (fun ~flow -> complete t ~flow);
     fail = (fun ~flow -> fail t ~flow);
     drop_head = (fun ~flow -> drop_head t ~flow);
-    drop_expired = (fun ~flow ~now ~bound -> drop_expired t ~flow ~now ~bound);
     queue_length = queue_length t;
     on_slot_end = (fun ~slot:_ -> ());
     probe =

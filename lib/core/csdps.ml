@@ -9,7 +9,7 @@ module Flow_set = Wfs_util.Flow_set
 type t = {
   backoff : int;
   weights : int array;
-  queues : Packet.t Queue.t array;
+  queues : Packet.Ring.t array;
   marked_until : int array;  (* flow skipped while now < marked_until *)
   backlog : Flow_set.t;
   naive : bool;
@@ -32,7 +32,7 @@ let create ?(backoff = 10) ?(naive = false) flows =
   {
     backoff;
     weights = Array.map (fun (f : Params.flow) -> int_weight f.weight) flows;
-    queues = Array.init n (fun _ -> Queue.create ());
+    queues = Array.init n (fun _ -> Packet.Ring.create ());
     marked_until = Array.make n 0;
     backlog = Flow_set.create ~n;
     naive;
@@ -45,8 +45,8 @@ let is_marked t ~flow ~now = now < t.marked_until.(flow)
 
 let enqueue t ~slot:_ (pkt : Packet.t) =
   let q = t.queues.(pkt.flow) in
-  Queue.push pkt q;
-  if Queue.length q = 1 then Flow_set.add t.backlog pkt.flow
+  Packet.Ring.push q pkt;
+  if Packet.Ring.length q = 1 then Flow_set.add t.backlog pkt.flow
 
 let n_flows t = Array.length t.weights
 
@@ -62,7 +62,8 @@ let rec scan_naive t ~slot ~n tried =
   if tried > n then None
   else begin
     let f = t.current in
-    if (not (Queue.is_empty t.queues.(f))) && not (is_marked t ~flow:f ~now:slot)
+    if (not (Packet.Ring.is_empty t.queues.(f)))
+       && not (is_marked t ~flow:f ~now:slot)
     then begin
       t.remaining <- t.remaining - 1;
       Some f
@@ -117,40 +118,21 @@ let select t ~slot ~predicted_good:_ =
   if t.naive then scan_naive t ~slot ~n:(n_flows t) 0
   else select_indexed t ~slot
 
-let head t flow = Queue.peek_opt t.queues.(flow)
+(* Pop the head packet, keeping the backlog index in step. *)
+let pop t ~flow ~who =
+  let q = t.queues.(flow) in
+  if Packet.Ring.is_empty q then Wfs_util.Error.empty_queue who;
+  Packet.Ring.pop_front q;
+  if Packet.Ring.is_empty q then Flow_set.remove t.backlog flow
 
-let deindex_if_empty t flow =
-  if Queue.is_empty t.queues.(flow) then Flow_set.remove t.backlog flow
-
-let complete t ~flow =
-  (match Queue.pop t.queues.(flow) with
-  | exception Queue.Empty -> Wfs_util.Error.empty_queue "Csdps.complete"
-  | _ -> ());
-  deindex_if_empty t flow
+let complete t ~flow = pop t ~flow ~who:"Csdps.complete"
 
 (* The distinguishing CSDPS move: a failed transmission (missing ack) marks
    the link bad for [backoff] slots. *)
 let fail t ~flow = t.marked_until.(flow) <- t.now + 1 + t.backoff
 
-let drop_head t ~flow =
-  (match Queue.pop t.queues.(flow) with
-  | exception Queue.Empty -> Wfs_util.Error.empty_queue "Csdps.drop_head"
-  | _ -> ());
-  deindex_if_empty t flow
-
-let rec drop_expired_loop q ~now ~bound acc =
-  match Queue.peek_opt q with
-  | Some pkt when Packet.age pkt ~now > bound ->
-      ignore (Queue.take_opt q);
-      drop_expired_loop q ~now ~bound (pkt :: acc)
-  | Some _ | None -> List.rev acc
-
-let drop_expired t ~flow ~now ~bound =
-  let dropped = drop_expired_loop t.queues.(flow) ~now ~bound [] in
-  deindex_if_empty t flow;
-  dropped
-
-let queue_length t flow = Queue.length t.queues.(flow)
+let drop_head t ~flow = pop t ~flow ~who:"Csdps.drop_head"
+let queue_length t flow = Packet.Ring.length t.queues.(flow)
 
 (* An empty-backlog slot still turns the round-robin: select stamps [now],
    fires the stale-grant advance if [remaining <= 0] (possible on the first
@@ -175,11 +157,10 @@ let instance t =
     Wireless_sched.name = "CSDPS";
     enqueue = (fun ~slot pkt -> enqueue t ~slot pkt);
     select = (fun ~slot ~predicted_good -> select t ~slot ~predicted_good);
-    head = head t;
+    packets = (fun flow -> t.queues.(flow));
     complete = (fun ~flow -> complete t ~flow);
     fail = (fun ~flow -> fail t ~flow);
     drop_head = (fun ~flow -> drop_head t ~flow);
-    drop_expired = (fun ~flow ~now ~bound -> drop_expired t ~flow ~now ~bound);
     queue_length = queue_length t;
     on_slot_end = (fun ~slot:_ -> ());
     probe =

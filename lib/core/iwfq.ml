@@ -1,11 +1,10 @@
-module Packet = Wfs_traffic.Packet
-module Deque = Wfs_util.Deque
+module Ring = Wfs_traffic.Packet.Ring
 module Flow_heap = Wfs_util.Flow_heap
 module Flow_set = Wfs_util.Flow_set
 
 type flow_state = {
   cfg : Params.flow;
-  packets : Packet.t Deque.t;
+  packets : Ring.t;
   slots : Slot_queue.t;
 }
 
@@ -43,7 +42,6 @@ let create ?params ?(naive = false) flows =
   if Array.length params.lead <> n then
     Wfs_util.Error.invalid "Iwfq.create" "lead bounds must match flow count";
   let weights = Array.map (fun (f : Params.flow) -> f.weight) flows in
-  let dummy = Packet.make ~flow:0 ~seq:0 ~arrival:0 () in
   let t =
     {
       flows =
@@ -51,7 +49,7 @@ let create ?params ?(naive = false) flows =
           (fun (cfg : Params.flow) ->
             {
               cfg;
-              packets = Deque.create ~dummy ();
+              packets = Ring.create ();
               slots = Slot_queue.create ~weight:cfg.weight;
             })
           flows;
@@ -70,38 +68,36 @@ let create ?params ?(naive = false) flows =
     (fun i ->
       t.pred i
       &&
-      match Slot_queue.head t.flows.(i).slots with
-      | Some s -> s.Slot_queue.start <= t.cur_v +. Params.eps_tag
-      | None -> false);
+      let slots = t.flows.(i).slots in
+      (not (Slot_queue.is_empty slots))
+      && Slot_queue.head_start slots <= t.cur_v +. Params.eps_tag);
   t
 
 let virtual_time t = Fluid_ref.virtual_time t.fluid
 
 let service_tag t ~flow =
   let fs = t.flows.(flow) in
-  if Deque.is_empty fs.packets then infinity
-  else
-    match Slot_queue.head fs.slots with
-    | Some s -> s.Slot_queue.finish
-    | None -> infinity
+  if Ring.is_empty fs.packets || Slot_queue.is_empty fs.slots then infinity
+  else Slot_queue.head_finish fs.slots
 
 let lag t ~flow =
   let fs = t.flows.(flow) in
-  float_of_int (Deque.length fs.packets) -. Fluid_ref.queue t.fluid ~flow
+  float_of_int (Ring.length fs.packets) -. Fluid_ref.queue t.fluid ~flow
 
 let slot_queue_length t ~flow = Slot_queue.length t.flows.(flow).slots
 let fluid t = t.fluid
 
 (* Re-index a flow whose head slot (or emptiness) may have changed. *)
 let refresh_flow t i =
-  let fs = t.flows.(i) in
-  match Slot_queue.head fs.slots with
-  | Some s ->
-      Flow_set.add t.backlog i;
-      Flow_heap.set t.heap ~flow:i ~tag:s.Slot_queue.finish
-  | None ->
-      Flow_set.remove t.backlog i;
-      Flow_heap.remove t.heap ~flow:i
+  let slots = t.flows.(i).slots in
+  if Slot_queue.is_empty slots then begin
+    Flow_set.remove t.backlog i;
+    Flow_heap.remove t.heap ~flow:i
+  end
+  else begin
+    Flow_set.add t.backlog i;
+    Flow_heap.set t.heap ~flow:i ~tag:(Slot_queue.head_finish slots)
+  end
 
 (* A drop from the queue tail leaves the head tag alone; only emptiness can
    change the index. *)
@@ -111,18 +107,13 @@ let deindex_if_empty t i =
     Flow_heap.remove t.heap ~flow:i
   end
 
-let enqueue t ~slot:_ (pkt : Packet.t) =
+let enqueue t ~slot:_ (pkt : Wfs_traffic.Packet.t) =
   let fs = t.flows.(pkt.flow) in
   Fluid_ref.add_arrivals t.fluid ~flow:pkt.flow ~count:1;
-  ignore (Slot_queue.add fs.slots ~v:(Fluid_ref.virtual_time t.fluid));
-  Deque.push_back fs.packets pkt;
+  Slot_queue.add fs.slots ~v:(Fluid_ref.virtual_time t.fluid);
+  Ring.push fs.packets pkt;
   (* The head slot only changes when the queue was empty. *)
-  if Deque.length fs.packets = 1 then refresh_flow t pkt.flow
-
-(* Drop the newest packet so the flow keeps its earliest (lowest-tag)
-   slots; used when the lag bound deletes slots.  O(1) on the deque — the
-   former [Queue] rotation was O(queue) per deleted slot. *)
-let drop_newest_packet fs = ignore (Deque.pop_back fs.packets)
+  if Ring.length fs.packets = 1 then refresh_flow t pkt.flow
 
 (* Lag and lead bounds for one flow (Section 4.1, steps 4a-4b).  The lag
    caps are >= 1, so a trim never deletes the head slot and never empties
@@ -131,8 +122,10 @@ let readjust_flow t i fs ~v =
   let deleted =
     Slot_queue.trim_lagging fs.slots ~v ~max_lagging:t.lag_caps.(i)
   in
+  (* Drop the newest packets so the flow keeps its earliest (lowest-tag)
+     slots. *)
   for _ = 1 to deleted do
-    drop_newest_packet fs
+    Ring.pop_back fs.packets
   done;
   if Slot_queue.clamp_lead fs.slots ~v ~max_lead:t.params.lead.(i)
        ~weight:fs.cfg.weight
@@ -158,16 +151,15 @@ let readjust t =
    specification the heap path is pinned to by the differential tests. *)
 let select_naive t ~predicted_good ~v =
   let eligible_start fs =
-    match Slot_queue.head fs.slots with
-    | Some s -> s.Slot_queue.start <= v +. Params.eps_tag
-    | None -> false
+    (not (Slot_queue.is_empty fs.slots))
+    && Slot_queue.head_start fs.slots <= v +. Params.eps_tag
   in
   let best restrict_eligible =
     let best = ref None in
     Array.iteri
       (fun i fs ->
         if
-          (not (Deque.is_empty fs.packets))
+          (not (Ring.is_empty fs.packets))
           && (not (Slot_queue.is_empty fs.slots))
           && predicted_good i
           && ((not restrict_eligible) || eligible_start fs)
@@ -202,16 +194,12 @@ let[@hot] select t ~slot:_ ~predicted_good =
     if f < 0 then None else Some f
   end
 
-let head t flow = Deque.peek_front t.flows.(flow).packets
-
 let complete t ~flow =
   let fs = t.flows.(flow) in
-  (match Slot_queue.pop_front fs.slots with
-  | Some _ -> ()
-  | None -> Wfs_util.Error.empty_queue "Iwfq.complete");
-  (match Deque.pop_front fs.packets with
-  | Some _ -> ()
-  | None -> Wfs_util.Error.empty_queue "Iwfq.complete");
+  if Slot_queue.is_empty fs.slots || Ring.is_empty fs.packets then
+    Wfs_util.Error.empty_queue "Iwfq.complete";
+  Slot_queue.pop_front fs.slots;
+  Ring.pop_front fs.packets;
   refresh_flow t flow
 
 let fail _t ~flow:_ = ()
@@ -222,27 +210,12 @@ let fail _t ~flow:_ = ()
    mapping). *)
 let drop_head t ~flow =
   let fs = t.flows.(flow) in
-  (match Deque.pop_front fs.packets with
-  | Some _ -> ()
-  | None -> Wfs_util.Error.empty_queue "Iwfq.drop_head");
-  ignore (Slot_queue.pop_back fs.slots);
+  if Ring.is_empty fs.packets then Wfs_util.Error.empty_queue "Iwfq.drop_head";
+  Ring.pop_front fs.packets;
+  if not (Slot_queue.is_empty fs.slots) then Slot_queue.pop_back fs.slots;
   deindex_if_empty t flow
 
-let rec drop_expired_loop fs ~now ~bound acc =
-  match Deque.peek_front fs.packets with
-  | Some pkt when Packet.age pkt ~now > bound ->
-      ignore (Deque.pop_front fs.packets);
-      ignore (Slot_queue.pop_back fs.slots);
-      drop_expired_loop fs ~now ~bound (pkt :: acc)
-  | Some _ | None -> List.rev acc
-
-let drop_expired t ~flow ~now ~bound =
-  let fs = t.flows.(flow) in
-  let dropped = drop_expired_loop fs ~now ~bound [] in
-  deindex_if_empty t flow;
-  dropped
-
-let queue_length t flow = Deque.length t.flows.(flow).packets
+let queue_length t flow = Ring.length t.flows.(flow).packets
 let on_slot_end t ~slot:_ = Fluid_ref.step t.fluid
 
 (* An empty real backlog does not mean an empty fluid reference: the fluid
@@ -265,11 +238,10 @@ let instance t =
     Wireless_sched.name = "IWFQ";
     enqueue = (fun ~slot pkt -> enqueue t ~slot pkt);
     select = (fun ~slot ~predicted_good -> select t ~slot ~predicted_good);
-    head = head t;
+    packets = (fun flow -> t.flows.(flow).packets);
     complete = (fun ~flow -> complete t ~flow);
     fail = (fun ~flow -> fail t ~flow);
     drop_head = (fun ~flow -> drop_head t ~flow);
-    drop_expired = (fun ~flow ~now ~bound -> drop_expired t ~flow ~now ~bound);
     queue_length = queue_length t;
     on_slot_end = (fun ~slot -> on_slot_end t ~slot);
     probe =

@@ -95,6 +95,20 @@ let backlog_remaining t ~flow =
   let a = acc t flow in
   a.arrivals - a.delivered - a.dropped
 
+(* A source flow that recorded nothing leaves its target as it was, since
+   both merges below copy the other side's values when one side is empty;
+   skipping it is what keeps barrier-time sampling cheap, where every
+   cell's totals span all global flows.  (An empty source histogram still
+   merges into a target that has none, as the merge would install it.) *)
+let untouched (s : flow_acc) ~(into : flow_acc) =
+  s.arrivals = 0 && s.delivered = 0 && s.dropped = 0 && s.failed = 0
+  && Summary.count s.delays = 0
+  &&
+  match (s.histogram, into.histogram) with
+  | None, _ -> true
+  | Some h, Some _ -> Histogram.count h = 0
+  | Some _, None -> false
+
 (* Merging through Summary.merge/Histogram.merge keeps the "absorb into
    empty = exact copy" property the multi-cell zero-mobility byte-identity
    gate relies on: both merges copy the non-empty side's floats verbatim
@@ -104,20 +118,21 @@ let absorb t ~src ~map =
     (fun i (s : flow_acc) ->
       let j = map i in
       let d = t.flows.(j) in
-      t.flows.(j) <-
-        {
-          delays = Summary.merge d.delays s.delays;
-          histogram =
-            (match (d.histogram, s.histogram) with
-            | Some a, Some b -> Some (Histogram.merge a b)
-            | (Some _ as a), None -> a
-            | None, (Some _ as b) -> b
-            | None, None -> None);
-          arrivals = d.arrivals + s.arrivals;
-          delivered = d.delivered + s.delivered;
-          dropped = d.dropped + s.dropped;
-          failed = d.failed + s.failed;
-        })
+      if not (untouched s ~into:d) then
+        t.flows.(j) <-
+          {
+            delays = Summary.merge d.delays s.delays;
+            histogram =
+              (match (d.histogram, s.histogram) with
+              | Some a, Some b -> Some (Histogram.merge a b)
+              | (Some _ as a), None -> a
+              | None, (Some _ as b) -> b
+              | None, None -> None);
+            arrivals = d.arrivals + s.arrivals;
+            delivered = d.delivered + s.delivered;
+            dropped = d.dropped + s.dropped;
+            failed = d.failed + s.failed;
+          })
     src.flows;
   t.idle <- t.idle + src.idle;
   t.busy <- t.busy + src.busy

@@ -82,6 +82,8 @@ val absorb : t -> src:t -> map:(int -> int) -> unit
     remapped through [map], and absorbing into an untouched target flow
     copies the source accumulator exactly (so zero-mobility multi-cell
     runs render byte-identically to independent single-cell runs).
+    Source flows that recorded nothing are skipped, which leaves their
+    targets exactly as a merge would.
     [map] must be injective into [[0, n_flows t)]. *)
 
 val to_json : t -> Wfs_util.Json.t

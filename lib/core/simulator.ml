@@ -1,4 +1,5 @@
 module Packet = Wfs_traffic.Packet
+module Ring = Wfs_traffic.Packet.Ring
 module Arrival = Wfs_traffic.Arrival
 module Channel = Wfs_channel.Channel
 module Predictor = Wfs_channel.Predictor
@@ -108,6 +109,7 @@ module Session = struct
     static_channel : bool array;
     delay_bounds : int array;
     delay_flows : int array;
+    retx_limits : int array;
     buffers : int array;
     first_slot : int;
     mutable next : int;
@@ -204,6 +206,12 @@ module Session = struct
       done;
       Array.of_list !acc
     in
+    let retx_limits =
+      Array.map
+        (fun fs ->
+          match retx_limit_of fs.flow.Params.drop with None -> max_int | Some k -> k)
+        cfg.flows
+    in
     let buffers =
       Array.map
         (fun fs ->
@@ -244,6 +252,7 @@ module Session = struct
       static_channel;
       delay_bounds;
       delay_flows;
+      retx_limits;
       buffers;
       first_slot;
       next = first_slot;
@@ -282,6 +291,7 @@ module Session = struct
     let static_channel = t.static_channel in
     let delay_bounds = t.delay_bounds in
     let delay_flows = t.delay_flows in
+    let retx_limits = t.retx_limits in
     let buffers = t.buffers in
     let first_slot = t.first_slot in
     (for slot = t.next to until - 1 do
@@ -317,20 +327,22 @@ module Session = struct
           states.(i) <- Channel.advance cfg.flows.(i).channel ~slot
       done;
       if profiling then phase_end phase_predict;
-      (* 4. Delay-bound drops (may discard packets anywhere in the queue). *)
+      (* 4. Delay-bound drops: arrivals are FIFO, so the expired packets
+         are a prefix of the queue. *)
       if profiling then phase_begin phase_drops;
       for di = 0 to Array.length delay_flows - 1 do
         let i = delay_flows.(di) in
-        match sched.drop_expired ~flow:i ~now:slot ~bound:delay_bounds.(i) with
-        | [] -> ()
-        | dropped ->
-            (* lint: allow R7 rare path: allocates only on slots where delay drops fired *)
-            List.iter (fun (pkt : Packet.t) ->
-                Metrics.on_drop metrics ~flow:i;
-                if tracing then
-                  record ~slot
-                    (Tracelog.Drop { flow = i; seq = pkt.seq; reason = "delay" }))
-              dropped
+        let q = sched.packets i in
+        while
+          Wireless_sched.head_expired sched ~flow:i ~now:slot
+            ~bound:delay_bounds.(i)
+        do
+          let seq = Ring.head_seq q in
+          sched.drop_head ~flow:i;
+          Metrics.on_drop metrics ~flow:i;
+          if tracing then
+            record ~slot (Tracelog.Drop { flow = i; seq; reason = "delay" })
+        done
       done;
       if profiling then phase_end phase_drops;
       (* 5–6. Selection and transmission outcome. *)
@@ -342,39 +354,35 @@ module Session = struct
       | None ->
           Metrics.on_idle_slot metrics;
           if tracing then record ~slot Tracelog.Slot_idle
-      | Some f -> (
+      | Some f ->
           Metrics.on_busy_slot metrics;
-          match sched.head f with
-          | None ->
-              Wfs_util.Error.invalidf "Simulator.run"
-                "scheduler selected flow %d with empty queue" f
-          | Some pkt ->
-              if Channel.state_is_good states.(f) then begin
-                sched.complete ~flow:f;
-                let delay = slot - pkt.Packet.arrival in
-                Metrics.on_deliver metrics ~flow:f ~delay;
-                if tracing then
-                  record ~slot
-                    (Tracelog.Transmit_ok { flow = f; seq = pkt.Packet.seq; delay })
-              end
-              else begin
-                pkt.Packet.attempts <- pkt.Packet.attempts + 1;
-                Metrics.on_failed_attempt metrics ~flow:f;
-                sched.fail ~flow:f;
-                if tracing then
-                  record ~slot
-                    (Tracelog.Transmit_fail
-                       { flow = f; seq = pkt.Packet.seq; attempt = pkt.Packet.attempts });
-                match retx_limit_of cfg.flows.(f).flow.Params.drop with
-                | Some limit when pkt.Packet.attempts > limit ->
-                    sched.drop_head ~flow:f;
-                    Metrics.on_drop metrics ~flow:f;
-                    if tracing then
-                      record ~slot
-                        (Tracelog.Drop
-                           { flow = f; seq = pkt.Packet.seq; reason = "retx" })
-                | Some _ | None -> ()
-              end));
+          let q = sched.packets f in
+          if Ring.is_empty q then
+            Wfs_util.Error.invalidf "Simulator.run"
+              "scheduler selected flow %d with empty queue" f;
+          let seq = Ring.head_seq q in
+          if Channel.state_is_good states.(f) then begin
+            let delay = slot - Ring.head_arrival q in
+            sched.complete ~flow:f;
+            Metrics.on_deliver metrics ~flow:f ~delay;
+            if tracing then
+              record ~slot (Tracelog.Transmit_ok { flow = f; seq; delay })
+          end
+          else begin
+            Ring.bump_attempts q;
+            let attempts = Ring.head_attempts q in
+            Metrics.on_failed_attempt metrics ~flow:f;
+            sched.fail ~flow:f;
+            if tracing then
+              record ~slot
+                (Tracelog.Transmit_fail { flow = f; seq; attempt = attempts });
+            if attempts > retx_limits.(f) then begin
+              sched.drop_head ~flow:f;
+              Metrics.on_drop metrics ~flow:f;
+              if tracing then
+                record ~slot (Tracelog.Drop { flow = f; seq; reason = "retx" })
+            end
+          end);
       if profiling then phase_end phase_transmit;
       (* 7. End-of-slot hooks. *)
       if profiling then phase_begin phase_slot_end;
@@ -460,39 +468,37 @@ module Session = struct
     let delay_bounds = t.delay_bounds in
     for di = 0 to Array.length delay_flows - 1 do
       let i = delay_flows.(di) in
-      match sched.drop_expired ~flow:i ~now:s ~bound:delay_bounds.(i) with
-      | [] -> ()
-      | dropped ->
-          (* lint: allow R7 rare path: allocates only on slots where delay drops fired *)
-          List.iter (fun (_ : Packet.t) -> Metrics.on_drop metrics ~flow:i)
-            dropped
+      while
+        Wireless_sched.head_expired sched ~flow:i ~now:s ~bound:delay_bounds.(i)
+      do
+        sched.drop_head ~flow:i;
+        Metrics.on_drop metrics ~flow:i
+      done
     done;
     (* 5-6. Selection and transmission outcome. *)
     let selected = sched.select ~slot:s ~predicted_good:t.predicted_good in
     (match selected with
     | None -> Metrics.on_idle_slot metrics
-    | Some f -> (
+    | Some f ->
         Metrics.on_busy_slot metrics;
-        match sched.head f with
-        | None ->
-            Wfs_util.Error.invalidf "Simulator.run"
-              "scheduler selected flow %d with empty queue" f
-        | Some pkt ->
-            if Channel.state_is_good states.(f) then begin
-              sched.complete ~flow:f;
-              Metrics.on_deliver metrics ~flow:f
-                ~delay:(s - pkt.Packet.arrival)
-            end
-            else begin
-              pkt.Packet.attempts <- pkt.Packet.attempts + 1;
-              Metrics.on_failed_attempt metrics ~flow:f;
-              sched.fail ~flow:f;
-              match retx_limit_of flows.(f).flow.Params.drop with
-              | Some limit when pkt.Packet.attempts > limit ->
-                  sched.drop_head ~flow:f;
-                  Metrics.on_drop metrics ~flow:f
-              | Some _ | None -> ()
-            end));
+        let q = sched.packets f in
+        if Ring.is_empty q then
+          Wfs_util.Error.invalidf "Simulator.run"
+            "scheduler selected flow %d with empty queue" f;
+        if Channel.state_is_good states.(f) then begin
+          let delay = s - Ring.head_arrival q in
+          sched.complete ~flow:f;
+          Metrics.on_deliver metrics ~flow:f ~delay
+        end
+        else begin
+          Ring.bump_attempts q;
+          Metrics.on_failed_attempt metrics ~flow:f;
+          sched.fail ~flow:f;
+          if Ring.head_attempts q > t.retx_limits.(f) then begin
+            sched.drop_head ~flow:f;
+            Metrics.on_drop metrics ~flow:f
+          end
+        end);
     (* 7. End of slot. *)
     sched.on_slot_end ~slot:s
 

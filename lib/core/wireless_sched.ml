@@ -33,14 +33,18 @@ type instance = {
   name : string;
   enqueue : slot:int -> Wfs_traffic.Packet.t -> unit;
   select : slot:int -> predicted_good:(int -> bool) -> int option;
-  head : int -> Wfs_traffic.Packet.t option;
+  packets : int -> Wfs_traffic.Packet.Ring.t;
   complete : flow:int -> unit;
   fail : flow:int -> unit;
   drop_head : flow:int -> unit;
-  drop_expired : flow:int -> now:int -> bound:int -> Wfs_traffic.Packet.t list;
   queue_length : int -> int;
   on_slot_end : slot:int -> unit;
   probe : probe;
   handoff : handoff option;
   quiescent : quiescent option;
 }
+
+let head_expired s ~flow ~now ~bound =
+  let q = s.packets flow in
+  (not (Wfs_traffic.Packet.Ring.is_empty q))
+  && now - Wfs_traffic.Packet.Ring.head_arrival q > bound

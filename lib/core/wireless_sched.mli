@@ -7,11 +7,24 @@
     [fail] / [drop_head].  Schedulers own the per-flow packet queues so
     they can make backlog-aware decisions.
 
-    {b Error convention.}  Queries where emptiness is an expected state
-    return options ([head], [select]).  Outcome callbacks ([complete],
-    [fail], [drop_head]) may only refer to the packet the scheduler just
-    offered via [select]/[head]; calling them on a flow with an empty
-    queue is a driver bug and raises
+    {b Packet store.}  Each flow's queue is a {!Wfs_traffic.Packet.Ring}:
+    [enqueue] copies the packet's seq, arrival and attempts into it, and
+    the driver reads the head through [packets] without allocating.  The
+    driver owns the attempt count: on a failed transmission it calls
+    {!Wfs_traffic.Packet.Ring.bump_attempts} on the flow's ring before
+    [fail], then compares the head's attempts with the retransmission
+    limit.  Delay-bound drops are a driver loop too: while the flow's
+    ring is non-empty and its head arrived more than [bound] slots ago
+    ({!head_expired}), call [drop_head].  Arrivals are FIFO, so that loop
+    removes exactly the expired packets; no scheduler keeps a separate
+    expiry path.
+
+    {b Error convention.}  [select] returns an option, since idling is an
+    expected state; emptiness of a flow is read off its ring.  Outcome
+    callbacks ([complete], [fail], [drop_head]) may only refer to the
+    head packet of a non-empty flow (the one [select] just offered, or an
+    expired head); calling them on a flow with an empty queue is a driver
+    bug and raises
     [Invalid_argument "<Module>.<function>: empty queue"] — uniformly
     worded across implementations so tests can assert on it.  Contrast
     {!Wfs_wireline.Sched_intf}, whose [dequeue] returns [None] instead of
@@ -116,18 +129,20 @@ type instance = {
   select : slot:int -> predicted_good:(int -> bool) -> int option;
       (** Flow chosen to transmit in [slot], or [None] to idle.  Called
           exactly once per slot, after all enqueues for that slot. *)
-  head : int -> Wfs_traffic.Packet.t option;
-      (** Head-of-line packet of a flow. *)
+  packets : int -> Wfs_traffic.Packet.Ring.t;
+      (** The flow's packet queue, head first.  Drivers read the head's
+          seq, arrival and attempts from it and may only mutate it through
+          {!Wfs_traffic.Packet.Ring.bump_attempts}; pushes and pops go
+          through [enqueue], [complete] and [drop_head], which keep the
+          scheduler's own indexes in step. *)
   complete : flow:int -> unit;
       (** The selected flow's head packet was delivered: consume it. *)
   fail : flow:int -> unit;
       (** The transmission failed; the packet stays at the head for
           retransmission. *)
   drop_head : flow:int -> unit;
-      (** Drop the head packet (retransmission limit exceeded). *)
-  drop_expired : flow:int -> now:int -> bound:int -> Wfs_traffic.Packet.t list;
-      (** Drop every queued packet older than [bound] slots; returns the
-          dropped packets (used for delay-bound loss accounting). *)
+      (** Drop the head packet (retransmission limit exceeded, or delay
+          bound passed). *)
   queue_length : int -> int;
   on_slot_end : slot:int -> unit;
       (** End-of-slot housekeeping (e.g. advancing IWFQ's fluid
@@ -145,3 +160,9 @@ type instance = {
           path (the simulator's fast path degenerates to the reference
           loop for such schedulers). *)
 }
+
+val head_expired : instance -> flow:int -> now:int -> bound:int -> bool
+(** [true] iff the flow's queue is non-empty and its head packet arrived
+    more than [bound] slots before [now]: the condition of the drivers'
+    delay-bound drop loop ([while head_expired ... do drop_head ... done]).
+    Allocation-free. *)

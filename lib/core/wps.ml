@@ -4,7 +4,7 @@ module Flow_set = Wfs_util.Flow_set
 
 type flow_state = {
   weight_int : int;
-  packets : Packet.t Queue.t;
+  packets : Packet.Ring.t;
   credit : Credit.t;
   mutable attempts : int;  (* transmissions counted against this frame *)
   mutable eff : int;  (* effective weight of the current frame *)
@@ -64,7 +64,7 @@ let create ?params ?limits ?(naive = false) ?trace flows =
           in
           {
             weight_int;
-            packets = Queue.create ();
+            packets = Packet.Ring.create ();
             credit =
               Credit.create ~credit_limit ~debit_limit
                 ?credit_per_frame:params.credit_per_frame ~weight:weight_int ();
@@ -87,7 +87,7 @@ let create ?params ?limits ?(naive = false) ?trace flows =
 let record t ~slot ev =
   match t.trace with None -> () | Some tr -> Tracelog.record tr ~slot ev
 
-let backlogged fs = not (Queue.is_empty fs.packets)
+let backlogged fs = not (Packet.Ring.is_empty fs.packets)
 
 (* Compact (flow, weight) arrays for a sparse frame build. *)
 let member_weights t members weight_of =
@@ -312,45 +312,21 @@ let[@hot] rec pick t ~slot ~predicted_good ~rebuilt =
 let select t ~slot ~predicted_good = pick t ~slot ~predicted_good ~rebuilt:false
 
 let enqueue t ~slot:_ (pkt : Packet.t) =
-  let fs = t.flows.(pkt.flow).packets in
-  Queue.push pkt fs;
-  if Queue.length fs = 1 then Flow_set.add t.backlog pkt.flow
+  let q = t.flows.(pkt.flow).packets in
+  Packet.Ring.push q pkt;
+  if Packet.Ring.length q = 1 then Flow_set.add t.backlog pkt.flow
 
-let deindex_if_empty t flow =
-  if Queue.is_empty t.flows.(flow).packets then Flow_set.remove t.backlog flow
+(* Pop the head packet, keeping the backlog index in step. *)
+let pop t ~flow ~who =
+  let q = t.flows.(flow).packets in
+  if Packet.Ring.is_empty q then Wfs_util.Error.empty_queue who;
+  Packet.Ring.pop_front q;
+  if Packet.Ring.is_empty q then Flow_set.remove t.backlog flow
 
-let head t flow =
-  match Queue.peek_opt t.flows.(flow).packets with
-  | Some pkt -> Some pkt
-  | None -> None
-
-let complete t ~flow =
-  (match Queue.pop t.flows.(flow).packets with
-  | exception Queue.Empty -> Wfs_util.Error.empty_queue "Wps.complete"
-  | _pkt -> ());
-  deindex_if_empty t flow
-
+let complete t ~flow = pop t ~flow ~who:"Wps.complete"
 let fail _t ~flow:_ = ()
-
-let drop_head t ~flow =
-  (match Queue.pop t.flows.(flow).packets with
-  | exception Queue.Empty -> Wfs_util.Error.empty_queue "Wps.drop_head"
-  | _ -> ());
-  deindex_if_empty t flow
-
-let rec drop_expired_loop q ~now ~bound acc =
-  match Queue.peek_opt q with
-  | Some pkt when Packet.age pkt ~now > bound ->
-      ignore (Queue.take_opt q);
-      drop_expired_loop q ~now ~bound (pkt :: acc)
-  | Some _ | None -> List.rev acc
-
-let drop_expired t ~flow ~now ~bound =
-  let dropped = drop_expired_loop t.flows.(flow).packets ~now ~bound [] in
-  deindex_if_empty t flow;
-  dropped
-
-let queue_length t flow = Queue.length t.flows.(flow).packets
+let drop_head t ~flow = pop t ~flow ~who:"Wps.drop_head"
+let queue_length t flow = Packet.Ring.length t.flows.(flow).packets
 let on_slot_end _t ~slot:_ = ()
 
 let name_of_params (p : Params.wps) =
@@ -365,11 +341,10 @@ let instance t =
     Wireless_sched.name = name_of_params t.params;
     enqueue = (fun ~slot pkt -> enqueue t ~slot pkt);
     select = (fun ~slot ~predicted_good -> select t ~slot ~predicted_good);
-    head = head t;
+    packets = (fun flow -> t.flows.(flow).packets);
     complete = (fun ~flow -> complete t ~flow);
     fail = (fun ~flow -> fail t ~flow);
     drop_head = (fun ~flow -> drop_head t ~flow);
-    drop_expired = (fun ~flow ~now ~bound -> drop_expired t ~flow ~now ~bound);
     queue_length = queue_length t;
     on_slot_end = (fun ~slot -> on_slot_end t ~slot);
     probe =

@@ -196,9 +196,12 @@ let run cfg =
         match delay_bound_of mf.spec.drop with
         | None -> ()
         | Some bound ->
-            List.iter
-              (fun (_pkt : Packet.t) -> Core.Metrics.on_drop metrics ~flow:i)
-              (sched.drop_expired ~flow:i ~now:slot ~bound);
+            while
+              Core.Wireless_sched.head_expired sched ~flow:i ~now:slot ~bound
+            do
+              sched.drop_head ~flow:i;
+              Core.Metrics.on_drop metrics ~flow:i
+            done;
             let continue = ref true in
             while !continue do
               match Queue.peek_opt mf.unknown with
@@ -250,32 +253,32 @@ let run cfg =
         notification_collisions :=
           !notification_collisions + List.length outcome.collided;
         List.iter (reveal ~slot ~via_piggyback:false) outcome.winners
-    | Some f -> (
+    | Some f ->
         incr data_slots;
         Core.Metrics.on_busy_slot metrics;
-        match sched.head f with
-        | None -> Wfs_util.Error.invalid "Mac_sim.run" "selected flow has empty queue"
-        | Some pkt ->
-            if Channel.state_is_good states.(f) then begin
-              sched.complete ~flow:f;
-              Core.Metrics.on_deliver metrics ~flow:f
-                ~delay:(slot - pkt.Packet.arrival);
-              (* The ack/data exchange carries piggybacked queue sizes for
-                 the transmitting host (uplink) — and the base station's own
-                 transmission lets every host monitor the channel. *)
-              if is_uplink mac.(f) then
-                piggyback_host ~slot mac.(f).spec.addr.Frame.host
-            end
-            else begin
-              pkt.Packet.attempts <- pkt.Packet.attempts + 1;
-              Core.Metrics.on_failed_attempt metrics ~flow:f;
-              sched.fail ~flow:f;
-              match retx_limit_of mac.(f).spec.drop with
-              | Some limit when pkt.Packet.attempts > limit ->
-                  sched.drop_head ~flow:f;
-                  Core.Metrics.on_drop metrics ~flow:f
-              | Some _ | None -> ()
-            end));
+        let q = sched.packets f in
+        if Packet.Ring.is_empty q then
+          Wfs_util.Error.invalid "Mac_sim.run" "selected flow has empty queue";
+        if Channel.state_is_good states.(f) then begin
+          let delay = slot - Packet.Ring.head_arrival q in
+          sched.complete ~flow:f;
+          Core.Metrics.on_deliver metrics ~flow:f ~delay;
+          (* The ack/data exchange carries piggybacked queue sizes for
+             the transmitting host (uplink) — and the base station's own
+             transmission lets every host monitor the channel. *)
+          if is_uplink mac.(f) then
+            piggyback_host ~slot mac.(f).spec.addr.Frame.host
+        end
+        else begin
+          Packet.Ring.bump_attempts q;
+          Core.Metrics.on_failed_attempt metrics ~flow:f;
+          sched.fail ~flow:f;
+          match retx_limit_of mac.(f).spec.drop with
+          | Some limit when Packet.Ring.head_attempts q > limit ->
+              sched.drop_head ~flow:f;
+              Core.Metrics.on_drop metrics ~flow:f
+          | Some _ | None -> ()
+        end);
     phase_end Core.Simulator.phase_transmit;
     phase_begin Core.Simulator.phase_slot_end;
     sched.on_slot_end ~slot;

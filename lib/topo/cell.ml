@@ -264,12 +264,14 @@ let dissolve t =
         Array.to_list
           (Array.mapi
              (fun lid m ->
+               let q = sched.Sched.packets lid in
                let rec drain acc =
-                 match sched.Sched.head lid with
-                 | Some pkt ->
-                     sched.Sched.drop_head ~flow:lid;
-                     drain (pkt :: acc)
-                 | None -> List.rev acc
+                 if Packet.Ring.is_empty q then List.rev acc
+                 else begin
+                   let pkt = Packet.Ring.head q ~flow:lid in
+                   sched.Sched.drop_head ~flow:lid;
+                   drain (pkt :: acc)
+                 end
                in
                {
                  member = m;

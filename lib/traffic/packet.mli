@@ -23,3 +23,54 @@ val age : t -> now:int -> int
 (** Slots spent in the system so far. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** One flow's FIFO of queued packets, stored as ints.
+
+    The wireless schedulers ({!Wfs_core.Iwfq}, {!Wfs_core.Wps},
+    {!Wfs_core.Cifq}, {!Wfs_core.Csdps}) keep every queued packet here
+    rather than as a heap block: a flat [int array] holds three cells per
+    packet — seq, arrival, attempts — in a circular buffer whose capacity
+    is a power of two and doubles when full.  A ring holds no storage
+    until its first {!push}, so flows that never receive a packet cost one
+    small record.  The packet's [flow] is implied by whose ring it is, and
+    [size] is not kept: slotted wireless packets are size 1.
+
+    Reads and pops on an empty ring raise
+    [Invalid_argument "Packet.Ring.<function>: empty queue"]. *)
+module Ring : sig
+  type packet := t
+  type t
+
+  val create : unit -> t
+  (** An empty ring with no storage. *)
+
+  val length : t -> int
+  val is_empty : t -> bool
+
+  val capacity : t -> int
+  (** Packets the current storage holds: 0 before the first {!push}, then
+      a power of two that doubles whenever the ring is full. *)
+
+  val push : t -> packet -> unit
+  (** Append at the tail, copying the packet's [seq], [arrival] and
+      [attempts]; the record itself is not kept. *)
+
+  val pop_front : t -> unit
+  (** Remove the head packet. *)
+
+  val pop_back : t -> unit
+  (** Remove the most recent packet. *)
+
+  val head_seq : t -> int
+  val head_arrival : t -> int
+
+  val head_attempts : t -> int
+  (** Fields of the head packet; none of the three reads allocates. *)
+
+  val bump_attempts : t -> unit
+  (** Count one more transmission attempt on the head packet. *)
+
+  val head : t -> flow:int -> packet
+  (** The head packet as a fresh record owned by [flow] (size 1), for
+      moving a backlog out of the ring; allocates. *)
+end

@@ -1,40 +1,34 @@
 let create ~rng ~rate =
   if rate < 0. then Wfs_util.Error.invalid "Poisson.create" "negative rate";
-  let step _slot = Wfs_util.Rng.poisson rng ~mean:rate in
+  (* One slot's arrival count.  Below the huge-mean cutoff this is
+     [Rng.poisson]'s Knuth inversion with [exp (-.rate)] hoisted out of the
+     per-slot draw: the identical draw sequence, without a transcendental
+     (or a boxed accumulator) per slot.  Above it, [Rng.poisson]'s normal
+     approximation has nothing to hoist. *)
+  let sample =
+    if rate > 0. && rate < 500. then begin
+      let limit = exp (-.rate) in
+      fun () ->
+        let k = ref 0 in
+        let p = ref 1.0 in
+        let continue = ref true in
+        while !continue do
+          p := !p *. Wfs_util.Rng.float rng;
+          if !p <= limit then continue := false else incr k
+        done;
+        !k
+    end
+    else fun () -> Wfs_util.Rng.poisson rng ~mean:rate
+  in
+  let step _slot = sample () in
   let next_event pending =
     if rate <= 0. then fun ~from:_ ~upto:_ -> -1
-    else if rate < 500. then begin
-      (* [Rng.poisson]'s Knuth inversion with [exp (-.rate)] hoisted out of
-         the per-slot query: the identical draw sequence, without a
-         transcendental per quiescent slot. *)
-      let limit = exp (-.rate) in
-      fun ~from ~upto ->
-        let found = ref (-1) in
-        let s = ref from in
-        while !found < 0 && !s < upto do
-          let k = ref 0 in
-          let p = ref 1.0 in
-          let continue = ref true in
-          while !continue do
-            p := !p *. Wfs_util.Rng.float rng;
-            if !p <= limit then continue := false else incr k
-          done;
-          if !k > 0 then begin
-            pending := !k;
-            found := !s
-          end;
-          incr s
-        done;
-        !found
-    end
     else
-      (* Huge-mean normal approximation inside [Rng.poisson]: nothing to
-         hoist, and virtually every slot is an event anyway. *)
       fun ~from ~upto ->
         let found = ref (-1) in
         let s = ref from in
         while !found < 0 && !s < upto do
-          let k = Wfs_util.Rng.poisson rng ~mean:rate in
+          let k = sample () in
           if k > 0 then begin
             pending := k;
             found := !s

@@ -34,9 +34,6 @@ let create ~path ~schema fields =
   write oc (header ~schema fields);
   oc
 
-let reopen ~path =
-  open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
-
 let flush = Stdlib.flush
 let close = close_out
 
@@ -50,6 +47,32 @@ let with_out path f =
       let r = f oc in
       close_out oc;
       r)
+
+let torn_tail path =
+  In_channel.with_open_bin path (fun ic ->
+      let len = In_channel.length ic in
+      Int64.compare len 0L > 0
+      &&
+      (In_channel.seek ic (Int64.pred len);
+       not (Option.equal Char.equal (In_channel.input_char ic) (Some '\n'))))
+
+(* A stream that does not end in a newline holds a torn append.  Cut it
+   back to its last newline before appending, or the first new record
+   would be glued to the fragment and turn a droppable tail into
+   corruption before the end.  The stdlib cannot truncate in place, so
+   the kept prefix is written to a sibling file that replaces the
+   original. *)
+let reopen ~path =
+  if torn_tail path then begin
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    let keep =
+      match String.rindex_opt text '\n' with Some i -> i + 1 | None -> 0
+    in
+    let tmp = path ^ ".cut" in
+    with_out tmp (fun oc -> output_substring oc text 0 keep);
+    Sys.rename tmp path
+  end;
+  open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
 
 let with_file ~path ~schema fields f =
   with_out path (fun oc ->

@@ -29,7 +29,10 @@ val create : path:string -> schema:string -> (string * Json.t) list -> writer
 (** Create or truncate [path] and write the header line. *)
 
 val reopen : path:string -> writer
-(** Open an existing stream for appending (its header is already there). *)
+(** Open an existing stream for appending (its header is already there).
+    A torn final line — the stream does not end in a newline — is cut off
+    first, so a stream resumed after a crash mid-append loads again after
+    the next crash or resume. *)
 
 val write : writer -> Json.t -> unit
 (** Append one record as a compact JSON line. *)

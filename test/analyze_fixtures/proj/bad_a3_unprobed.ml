@@ -6,25 +6,23 @@
 module Sched = Wfs_core.Wireless_sched
 module Packet = Wfs_traffic.Packet
 
-type t = { q : Packet.t Queue.t }
+type t = { q : Packet.Ring.t }
 
-let create () = { q = Queue.create () }
+let create () = { q = Packet.Ring.create () }
+let pop t = if not (Packet.Ring.is_empty t.q) then Packet.Ring.pop_front t.q
 
 let instance t =
   {
     Sched.name = "FIXTURE-UNPROBED";
-    enqueue = (fun ~slot:_ pkt -> Queue.push pkt t.q);
+    enqueue = (fun ~slot:_ pkt -> Packet.Ring.push t.q pkt);
     select =
       (fun ~slot:_ ~predicted_good:_ ->
-        match Queue.peek_opt t.q with
-        | Some p -> Some p.Packet.flow
-        | None -> None);
-    head = (fun _ -> Queue.peek_opt t.q);
-    complete = (fun ~flow:_ -> ignore (Queue.take_opt t.q));
+        if Packet.Ring.is_empty t.q then None else Some 0);
+    packets = (fun _ -> t.q);
+    complete = (fun ~flow:_ -> pop t);
     fail = (fun ~flow:_ -> ());
-    drop_head = (fun ~flow:_ -> ignore (Queue.take_opt t.q));
-    drop_expired = (fun ~flow:_ ~now:_ ~bound:_ -> []);
-    queue_length = (fun _ -> Queue.length t.q);
+    drop_head = (fun ~flow:_ -> pop t);
+    queue_length = (fun _ -> Packet.Ring.length t.q);
     on_slot_end = (fun ~slot:_ -> ());
     probe = Sched.no_probe;
     handoff = None;

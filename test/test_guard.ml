@@ -240,11 +240,10 @@ let fake_sched ?(queue_length = fun _ -> 0) probe =
     Core.Wireless_sched.name = "Evil";
     enqueue = (fun ~slot:_ _ -> ());
     select = (fun ~slot:_ ~predicted_good:_ -> None);
-    head = (fun _ -> None);
+    packets = (let empty = Wfs_traffic.Packet.Ring.create () in fun _ -> empty);
     complete = (fun ~flow:_ -> ());
     fail = (fun ~flow:_ -> ());
     drop_head = (fun ~flow:_ -> ());
-    drop_expired = (fun ~flow:_ ~now:_ ~bound:_ -> []);
     queue_length;
     on_slot_end = (fun ~slot:_ -> ());
     probe;

@@ -143,32 +143,37 @@ let prop_fluid_matches_continuous_gps =
 
 let test_slot_queue_tags () =
   let q = Sq.create ~weight:0.5 in
-  let s1 = Sq.add q ~v:0. in
-  let s2 = Sq.add q ~v:0. in
-  check_float "first start" 0. s1.Sq.start;
-  check_float "first finish (1/r)" 2. s1.Sq.finish;
-  check_float "chained" 2. s2.Sq.start;
+  Sq.add q ~v:0.;
+  Sq.add q ~v:0.;
+  let (s1_start, s1_finish), (s2_start, _) =
+    match Sq.to_list q with [ s1; s2 ] -> (s1, s2) | _ -> Alcotest.fail "two slots"
+  in
+  check_float "first start" 0. s1_start;
+  check_float "first finish (1/r)" 2. s1_finish;
+  check_float "chained" 2. s2_start;
   check_int "length" 2 (Sq.length q)
 
 let test_slot_queue_tags_after_idle () =
   let q = Sq.create ~weight:1. in
-  ignore (Sq.add q ~v:0.);
-  ignore (Sq.pop_front q);
-  let s = Sq.add q ~v:5. in
-  check_float "restarts at v" 5. s.Sq.start
+  Sq.add q ~v:0.;
+  Sq.pop_front q;
+  Sq.add q ~v:5.;
+  check_float "restarts at v" 5. (Sq.head_start q)
 
 let test_slot_queue_pop_back () =
   let q = Sq.create ~weight:1. in
-  let s1 = Sq.add q ~v:0. in
-  let s2 = Sq.add q ~v:0. in
-  let popped = Option.get (Sq.pop_back q) in
-  check_float "newest popped" s2.Sq.finish popped.Sq.finish;
-  check_float "head intact" s1.Sq.finish (Option.get (Sq.head q)).Sq.finish
+  Sq.add q ~v:0.;
+  Sq.add q ~v:0.;
+  let s1 = match Sq.to_list q with [ s1; _ ] -> s1 | _ -> Alcotest.fail "two slots" in
+  Sq.pop_back q;
+  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
+    "newest popped" [ s1 ] (Sq.to_list q);
+  check_float "head intact" (snd s1) (Sq.head_finish q)
 
 let test_slot_queue_lagging_count () =
   let q = Sq.create ~weight:1. in
   for _ = 1 to 5 do
-    ignore (Sq.add q ~v:0.)
+    Sq.add q ~v:0.
   done;
   (* finishes 1..5 *)
   check_int "lagging below v=3.5" 3 (Sq.lagging_count q ~v:3.5);
@@ -177,38 +182,37 @@ let test_slot_queue_lagging_count () =
 let test_slot_queue_trim_lagging () =
   let q = Sq.create ~weight:1. in
   for _ = 1 to 6 do
-    ignore (Sq.add q ~v:0.)
+    Sq.add q ~v:0.
   done;
   (* finishes 1..6; v=5.5 makes 5 lagging; cap 2 keeps finishes 1,2 and
      deletes 3,4,5; finish 6 (non-lagging) survives. *)
   let deleted = Sq.trim_lagging q ~v:5.5 ~max_lagging:2 in
   check_int "deleted 3" 3 deleted;
   check_int "remaining" 3 (Sq.length q);
-  let finishes = List.map (fun s -> s.Sq.finish) (Sq.to_list q) in
+  let finishes = List.map snd (Sq.to_list q) in
   Alcotest.(check (list (float 1e-9))) "kept lowest + tail" [ 1.; 2.; 6. ] finishes
 
 let test_slot_queue_trim_noop () =
   let q = Sq.create ~weight:1. in
-  ignore (Sq.add q ~v:0.);
+  Sq.add q ~v:0.;
   check_int "no deletion needed" 0 (Sq.trim_lagging q ~v:10. ~max_lagging:5)
 
 let test_slot_queue_clamp_lead () =
   let q = Sq.create ~weight:1. in
-  ignore (Sq.add q ~v:10.);
+  Sq.add q ~v:10.;
   (* head start 10; with v=0 and max_lead 4, limit = 4 -> clamp *)
   check_bool "clamped" true (Sq.clamp_lead q ~v:0. ~max_lead:4. ~weight:1.);
-  let head = Option.get (Sq.head q) in
-  check_float "start clamped" 4. head.Sq.start;
-  check_float "finish follows" 5. head.Sq.finish;
+  check_float "start clamped" 4. (Sq.head_start q);
+  check_float "finish follows" 5. (Sq.head_finish q);
   check_bool "no further clamp" false (Sq.clamp_lead q ~v:0. ~max_lead:4. ~weight:1.)
 
 let test_slot_queue_clamp_updates_chain () =
   let q = Sq.create ~weight:1. in
-  ignore (Sq.add q ~v:10.);
+  Sq.add q ~v:10.;
   ignore (Sq.clamp_lead q ~v:0. ~max_lead:2. ~weight:1.);
   (* next arrival chains from the clamped finish (3), not the old 11 *)
-  let s = Sq.add q ~v:0. in
-  check_float "chains from clamped finish" 3. s.Sq.start
+  Sq.add q ~v:0.;
+  check_float "chains from clamped finish" 3. (fst (List.nth (Sq.to_list q) 1))
 
 (* --- Spreading --- *)
 
@@ -436,8 +440,13 @@ let test_iwfq_drop_expired () =
   let sched = Core.Iwfq.instance iwfq in
   sched.enqueue ~slot:0 (pkt ~flow:0 ~seq:0 ~arrival:0);
   sched.enqueue ~slot:0 (pkt ~flow:0 ~seq:1 ~arrival:0);
-  let dropped = sched.drop_expired ~flow:0 ~now:10 ~bound:5 in
-  check_int "both expired" 2 (List.length dropped);
+  (* The drivers' delay-bound drop loop. *)
+  let dropped = ref 0 in
+  while Core.Wireless_sched.head_expired sched ~flow:0 ~now:10 ~bound:5 do
+    sched.drop_head ~flow:0;
+    incr dropped
+  done;
+  check_int "both expired" 2 !dropped;
   check_int "queue empty" 0 (sched.queue_length 0);
   check_bool "service tag infinite" true
     (Core.Iwfq.service_tag iwfq ~flow:0 = infinity)

@@ -1,7 +1,8 @@
-(* Tests for the perf-optimization layer: the Deque / Flow_heap / Flow_set
-   containers against simple reference models, and differential lockstep
-   drives pinning each backlog-indexed scheduler to its naive O(n)
-   reference implementation (the [?naive:true] mode). *)
+(* Tests for the perf-optimization layer: the Deque, packet ring,
+   slot-tag ring, Flow_heap and Flow_set containers against simple
+   reference models, and differential lockstep drives pinning each
+   backlog-indexed scheduler to its naive O(n) reference implementation
+   (the [?naive:true] mode). *)
 
 module Rng = Wfs_util.Rng
 module Deque = Wfs_util.Deque
@@ -87,6 +88,116 @@ let test_deque_get_and_peeks () =
     (fun () -> ignore (Deque.get dq 10));
   Deque.clear dq;
   check_bool "cleared" true (Deque.is_empty dq)
+
+(* --- Packet ring and slot-tag ring vs list models --- *)
+
+module Ring = Packet.Ring
+module Sq = Core.Slot_queue
+
+(* Empty the ring into a list, head first: its only whole-queue read is
+   the head. *)
+let drain_ring r =
+  let rec go acc =
+    if Ring.is_empty r then List.rev acc
+    else begin
+      let p = Ring.head r ~flow:0 in
+      Ring.pop_front r;
+      go ((p.Packet.seq, p.arrival, p.attempts) :: acc)
+    end
+  in
+  go []
+
+(* Ops: 0-1 push, 2 pop_front, 3 pop_back, 4 bump the head's attempts. *)
+let apply_ring_op r model (op, x) =
+  let head_matches () =
+    match model with
+    | [] -> Ring.is_empty r
+    | (seq, arrival, attempts) :: _ ->
+        Ring.head_seq r = seq
+        && Ring.head_arrival r = arrival
+        && Ring.head_attempts r = attempts
+  in
+  assert (head_matches ());
+  match op mod 5 with
+  | 0 | 1 ->
+      let p = Packet.make ~flow:0 ~seq:x ~arrival:(x * 3) () in
+      p.attempts <- x mod 4;
+      Ring.push r p;
+      model @ [ (x, x * 3, x mod 4) ]
+  | 2 -> (
+      match model with
+      | [] -> []
+      | _ :: tl ->
+          Ring.pop_front r;
+          tl)
+  | 3 -> (
+      match List.rev model with
+      | [] -> []
+      | _ :: tl ->
+          Ring.pop_back r;
+          List.rev tl)
+  | _ -> (
+      match model with
+      | [] -> []
+      | (seq, arrival, attempts) :: tl ->
+          Ring.bump_attempts r;
+          (seq, arrival, attempts + 1) :: tl)
+
+let prop_ring_model =
+  QCheck.Test.make ~name:"packet ring matches list model under mixed ops" ~count:300
+    QCheck.(list (pair small_int small_int))
+    (fun ops ->
+      let r = Ring.create () in
+      let final =
+        List.fold_left (fun model op -> apply_ring_op r model op) [] ops
+      in
+      Ring.length r = List.length final && drain_ring r = final)
+
+(* Deleting a middle range shifts whichever side is shorter; pops before
+   the adds make the ring wrap.  Finish tags are 1 apart (weight 1, every
+   slot added at v = 0), so [v] picks the lagging prefix exactly. *)
+let prop_slot_queue_trim =
+  QCheck.Test.make ~name:"slot queue trim_lagging matches list splice" ~count:300
+    QCheck.(quad (1 -- 40) (0 -- 20) small_int small_int)
+    (fun (n, popped, lag_pick, keep_pick) ->
+      let q = Sq.create ~weight:1. in
+      for _ = 1 to popped do
+        Sq.add q ~v:0.;
+        Sq.pop_front q
+      done;
+      for _ = 1 to n do
+        Sq.add q ~v:0.
+      done;
+      let model = Sq.to_list q in
+      let lagging = lag_pick mod (n + 1) in
+      let keep = keep_pick mod (lagging + 1) in
+      let v = float_of_int (popped + lagging) +. 0.5 in
+      let deleted = Sq.trim_lagging q ~v ~max_lagging:keep in
+      let expect =
+        List.filteri (fun i _ -> i < keep || i >= lagging) model
+      in
+      deleted = lagging - keep
+      && Sq.to_list q = expect
+      && Sq.length q = List.length expect)
+
+let test_ring_reads_and_growth () =
+  let r = Ring.create () in
+  check_int "no storage before the first push" 0 (Ring.capacity r);
+  for i = 1 to 10 do
+    Ring.push r (Packet.make ~flow:0 ~seq:i ~arrival:(10 * i) ())
+  done;
+  check_int "doubled to the next power of two" 16 (Ring.capacity r);
+  check_int "front seq" 1 (Ring.head_seq r);
+  check_int "front arrival" 10 (Ring.head_arrival r);
+  Ring.pop_back r;
+  for i = 1 to 9 do
+    check_int "fifo order" i (Ring.head_seq r);
+    Ring.pop_front r
+  done;
+  Alcotest.check_raises "head of an empty ring"
+    (Invalid_argument "Packet.Ring.head: empty queue")
+    (fun () -> ignore (Ring.head_seq r));
+  check_bool "drained" true (Ring.is_empty r)
 
 (* --- Flow_heap vs naive model --- *)
 
@@ -202,6 +313,15 @@ let drive_pair ?(horizon = 300) ~n_flows ~seed make =
   let seqs = Array.make n_flows 0 in
   let retx_limit = 2 in
   let fail_ctx fmt = Printf.ksprintf (fun m -> Alcotest.fail (a.name ^ ": " ^ m)) fmt in
+  (* The drivers' delay-bound drop loop; returns the dropped seqs. *)
+  let drop_expired (s : Core.Wireless_sched.instance) ~flow ~now ~bound =
+    let dropped = ref [] in
+    while Core.Wireless_sched.head_expired s ~flow ~now ~bound do
+      dropped := Ring.head_seq (s.packets flow) :: !dropped;
+      s.drop_head ~flow
+    done;
+    List.rev !dropped
+  in
   for slot = 0 to horizon - 1 do
     for f = 0 to n_flows - 1 do
       if Rng.float rng < 0.35 then begin
@@ -214,10 +334,9 @@ let drive_pair ?(horizon = 300) ~n_flows ~seed make =
     if Rng.float rng < 0.08 then begin
       let bound = 3 + Rng.int rng 20 in
       for f = 0 to n_flows - 1 do
-        let da = a.drop_expired ~flow:f ~now:slot ~bound in
-        let db = b.drop_expired ~flow:f ~now:slot ~bound in
-        let seq_of (p : Packet.t) = p.seq in
-        if List.map seq_of da <> List.map seq_of db then
+        let da = drop_expired a ~flow:f ~now:slot ~bound in
+        let db = drop_expired b ~flow:f ~now:slot ~bound in
+        if da <> db then
           fail_ctx "slot %d: drop_expired diverged on flow %d" slot f
       done
     end;
@@ -232,26 +351,26 @@ let drive_pair ?(horizon = 300) ~n_flows ~seed make =
         (match sb with None -> "-" | Some f -> string_of_int f);
     (match sa with
     | None -> ()
-    | Some f -> (
-        match (a.head f, b.head f) with
-        | Some pa, Some pb ->
-            if pa.Packet.seq <> pb.Packet.seq then
-              fail_ctx "slot %d: head seq diverged on flow %d" slot f;
-            if actual_good then begin
-              a.complete ~flow:f;
-              b.complete ~flow:f
-            end
-            else begin
-              pa.Packet.attempts <- pa.Packet.attempts + 1;
-              pb.Packet.attempts <- pb.Packet.attempts + 1;
-              a.fail ~flow:f;
-              b.fail ~flow:f;
-              if pa.Packet.attempts > retx_limit then begin
-                a.drop_head ~flow:f;
-                b.drop_head ~flow:f
-              end
-            end
-        | _ -> fail_ctx "slot %d: selected flow %d with empty queue" slot f));
+    | Some f ->
+        let qa = a.packets f and qb = b.packets f in
+        if Ring.is_empty qa || Ring.is_empty qb then
+          fail_ctx "slot %d: selected flow %d with empty queue" slot f;
+        if Ring.head_seq qa <> Ring.head_seq qb then
+          fail_ctx "slot %d: head seq diverged on flow %d" slot f;
+        if actual_good then begin
+          a.complete ~flow:f;
+          b.complete ~flow:f
+        end
+        else begin
+          Ring.bump_attempts qa;
+          Ring.bump_attempts qb;
+          a.fail ~flow:f;
+          b.fail ~flow:f;
+          if Ring.head_attempts qa > retx_limit then begin
+            a.drop_head ~flow:f;
+            b.drop_head ~flow:f
+          end
+        end);
     a.on_slot_end ~slot;
     b.on_slot_end ~slot;
     for f = 0 to n_flows - 1 do
@@ -588,11 +707,103 @@ let test_topo_fast_jobs_identity () =
         (render ~fast:true ~jobs))
     [ 1; 2; 4 ]
 
+(* --- The packet store: rings inside the four wireless schedulers --- *)
+
+let store_scheds = [ "IWFQ-P"; "SwapA-P"; "CIF-Q-P"; "CSDPS" ]
+
+let make_sched name ~n_flows =
+  let flows = Array.init n_flows (fun id -> Core.Params.flow ~id ~weight:1. ()) in
+  (Core.Registry.get name).Core.Registry.make ~credit_limit:4 ~debit_limit:4 flows
+
+(* A queued packet costs the flow's ring three ints (IWFQ adds its two slot
+   tags); doubling can leave at most as much again unused.  A boxed packet
+   record per queued packet costs 9 or more words. *)
+let test_store_footprint () =
+  let n = 8192 in
+  List.iter
+    (fun name ->
+      let sched = make_sched name ~n_flows:2 in
+      let before = Obj.reachable_words (Obj.repr sched) in
+      for seq = 0 to n - 1 do
+        sched.enqueue ~slot:0 (Packet.make ~flow:0 ~seq ~arrival:0 ())
+      done;
+      let grown = Obj.reachable_words (Obj.repr sched) - before in
+      check_int (name ^ ": all queued") n (sched.queue_length 0);
+      check_bool
+        (Printf.sprintf "%s: %d words for %d queued packets (at most 6 each)"
+           name grown n)
+        true (grown <= 6 * n))
+    store_scheds
+
+(* Attempts belong to the packet: copied in by [enqueue], read back at the
+   head, and carried out and back in by a cell's dissolve/rebuild. *)
+let test_store_keeps_attempts () =
+  List.iter
+    (fun name ->
+      let sched = make_sched name ~n_flows:2 in
+      let p = Packet.make ~flow:1 ~seq:7 ~arrival:3 () in
+      p.attempts <- 2;
+      sched.enqueue ~slot:3 p;
+      let q = sched.packets 1 in
+      check_int (name ^ ": head attempts") 2 (Ring.head_attempts q);
+      check_int (name ^ ": head seq") 7 (Ring.head_seq q);
+      check_int (name ^ ": head arrival") 3 (Ring.head_arrival q);
+      let entry = Core.Registry.get name in
+      let members =
+        Array.to_list
+          (Array.mapi
+             (fun gid setup -> { Wfs_topo.Cell.gid; setup })
+             (Core.Presets.example1 ~seed:5 ()))
+      in
+      let cell =
+        Wfs_topo.Cell.create ~id:0 ~sched:entry ~horizon:100 ~n_total:2 members
+      in
+      let backlog =
+        List.map
+          (fun (seq, attempts) ->
+            let p = Packet.make ~flow:0 ~seq ~arrival:0 () in
+            p.attempts <- attempts;
+            p)
+          [ (0, 3); (1, 0); (2, 1) ]
+      in
+      let parcels =
+        List.map
+          (fun (pc : Wfs_topo.Cell.parcel) ->
+            if pc.member.gid = 0 then { pc with backlog } else pc)
+          (Wfs_topo.Cell.dissolve cell)
+      in
+      let view (pc : Wfs_topo.Cell.parcel) =
+        List.map (fun (p : Packet.t) -> (p.flow, p.seq, p.arrival, p.attempts)) pc.backlog
+      in
+      let expect = List.map (fun (p : Packet.t) -> (0, p.seq, 0, p.attempts)) backlog in
+      let twice =
+        Wfs_topo.Cell.dissolve (Wfs_topo.Cell.rebuild cell ~slot:0 parcels)
+      in
+      let thrice =
+        Wfs_topo.Cell.dissolve (Wfs_topo.Cell.rebuild cell ~slot:0 twice)
+      in
+      List.iter
+        (fun round ->
+          Alcotest.(check (list (pair int (pair int (pair int int)))))
+            (name ^ ": backlog survives dissolve/rebuild")
+            (List.map (fun (f, s, a, k) -> (f, (s, (a, k)))) expect)
+            (List.map
+               (fun (f, s, a, k) -> (f, (s, (a, k))))
+               (view (List.hd round))))
+        [ twice; thrice ])
+    store_scheds
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_deque_model;
     QCheck_alcotest.to_alcotest prop_deque_remove_range;
     Alcotest.test_case "deque get/peek/clear" `Quick test_deque_get_and_peeks;
+    QCheck_alcotest.to_alcotest prop_ring_model;
+    QCheck_alcotest.to_alcotest prop_slot_queue_trim;
+    Alcotest.test_case "packet ring reads/growth" `Quick test_ring_reads_and_growth;
+    Alcotest.test_case "packet store footprint" `Quick test_store_footprint;
+    Alcotest.test_case "packet store keeps attempts" `Quick
+      test_store_keeps_attempts;
     QCheck_alcotest.to_alcotest prop_flow_heap_model;
     Alcotest.test_case "flow_heap basics" `Quick test_flow_heap_basics;
     QCheck_alcotest.to_alcotest prop_flow_set_model;

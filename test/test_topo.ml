@@ -609,6 +609,29 @@ let prop_kill_resume_identity =
                   kill_after resume_jobs;
               true)))
 
+(* A crash mid-append leaves a torn line.  Resuming must cut it off before
+   appending, so the resumed journal is byte-identical to the uninterrupted
+   run's and loads again on a second resume. *)
+let test_torn_journal_resumes_twice () =
+  let spec = Spec.of_string_exn faulted_spec_str in
+  with_temp_journal (fun full_path ->
+      with_temp_journal (fun torn_path ->
+          ignore (journal_run ~path:full_path ~jobs:1 spec);
+          let lines = String.split_on_char '\n' (read_file full_path) in
+          let oc = open_out_bin torn_path in
+          List.iteri (fun i l -> if i < 6 then output_string oc (l ^ "\n")) lines;
+          output_string oc "{\"key\":\"torn";
+          close_out oc;
+          resume_run ~path:torn_path ~jobs:2 spec;
+          Alcotest.(check bool) "resumed journal equals the uninterrupted one"
+            true
+            (String.equal (read_file full_path) (read_file torn_path));
+          (* The second resume loads the journal and re-verifies every
+             barrier against the replay. *)
+          resume_run ~path:torn_path ~jobs:1 spec;
+          Alcotest.(check bool) "journal still loads" true
+            (Result.is_ok (Topo_journal.load ~path:torn_path))))
+
 (* --- Dispatch guards --- *)
 
 let test_exec_rejects_topo () =
@@ -673,6 +696,8 @@ let suite =
     Alcotest.test_case "topo journal rejects untagged keys" `Quick
       test_topo_journal_rejects_untagged_key;
     QCheck_alcotest.to_alcotest prop_kill_resume_identity;
+    Alcotest.test_case "torn journal resumes twice" `Quick
+      test_torn_journal_resumes_twice;
     Alcotest.test_case "exec rejects topology specs" `Quick
       test_exec_rejects_topo;
     Alcotest.test_case "of_spec requires a topology clause" `Quick
