@@ -25,9 +25,12 @@ type t = {
   mutable skip : int;  (* reference pick to exclude from redistribution *)
   mutable accept_taker : int -> bool;  (* preallocated closures *)
   mutable accept_other : int -> bool;
+  mutable find_taker : unit -> int;
+  mutable find_other : unit -> int;
 }
 
 let no_pred (_ : int) = false
+let no_flow () = -1
 
 let create ?(alpha = 0.9) ?(naive = false) flows =
   if not (alpha >= 0. && alpha <= 1.) then
@@ -59,6 +62,8 @@ let create ?(alpha = 0.9) ?(naive = false) flows =
       skip = -1;
       accept_taker = no_pred;
       accept_other = no_pred;
+      find_taker = no_flow;
+      find_other = no_flow;
     }
   in
   (* Heap membership already implies backlogged, so [can_transmit] reduces
@@ -66,6 +71,10 @@ let create ?(alpha = 0.9) ?(naive = false) flows =
   t.accept_taker <-
     (fun j -> j <> t.skip && t.flows.(j).lag > 0 && t.pred j);
   t.accept_other <- (fun j -> j <> t.skip && t.pred j);
+  t.find_taker <-
+    (fun () -> Flow_heap.min_accept t.heap ~accept:t.accept_taker);
+  t.find_other <-
+    (fun () -> Flow_heap.min_accept t.heap ~accept:t.accept_other);
   t
 
 let backlogged fs = not (Packet.Ring.is_empty fs.packets)
@@ -107,8 +116,9 @@ let charge t i fi =
 (* Steps 2-4 of the per-slot rule, shared by the naive and indexed paths;
    [taker] and [other] find the redistribution candidates (excluding [i])
    among backlogged flows with a (predicted) good channel — lagging flows
-   first, then anyone. *)
-let finish_select t i ~can_transmit_i ~taker ~other =
+   first, then anyone — or return -1.  Returns the transmitter, -1 for an
+   idle slot. *)
+let[@hot] finish_select t i ~can_transmit_i ~taker ~other =
   let fi = t.flows.(i) in
   let keeps =
     if not can_transmit_i then false
@@ -117,7 +127,7 @@ let finish_select t i ~can_transmit_i ~taker ~other =
          counts selections where relinquishing was possible — a lagging
          flow stood ready to take the slot — so uncontested slots never
          build up a give-away debt. *)
-      let taker_exists = Option.is_some (taker ()) in
+      let taker_exists = taker () >= 0 in
       if taker_exists then begin
         fi.selected_leading <- fi.selected_leading + 1;
         if must_relinquish t fi then begin
@@ -131,18 +141,16 @@ let finish_select t i ~can_transmit_i ~taker ~other =
     else true
   in
   let transmitter =
-    if keeps then Some i
+    if keeps then i
     else
-      match taker () with
-      | Some j -> Some j
-      | None -> (
-          match other () with
-          | Some j -> Some j
-          | None -> if can_transmit_i then Some i else None)
+      let j = taker () in
+      if j >= 0 then j
+      else
+        let j = other () in
+        if j >= 0 then j else if can_transmit_i then i else -1
   in
-  (match transmitter with
-  | Some k -> t.flows.(k).lag <- t.flows.(k).lag - 1
-  | None -> ());
+  if transmitter >= 0 then
+    t.flows.(transmitter).lag <- t.flows.(transmitter).lag - 1;
   transmitter
 
 (* Reference path: the original O(n_flows) scans, kept as the executable
@@ -154,19 +162,17 @@ let select_naive t ~predicted_good =
       let fi = t.flows.(i) in
       charge t i fi;
       let can_transmit j = backlogged t.flows.(j) && predicted_good j in
-      finish_select t i ~can_transmit_i:(can_transmit i)
-        ~taker:(fun () ->
-          min_v_flow t ~pred:(fun j fs -> j <> i && fs.lag > 0 && can_transmit j))
-        ~other:(fun () ->
-          min_v_flow t ~pred:(fun j _ -> j <> i && can_transmit j))
-
-let opt_taker t () =
-  let j = Flow_heap.min_accept t.heap ~accept:t.accept_taker in
-  if j < 0 then None else Some j
-
-let opt_other t () =
-  let j = Flow_heap.min_accept t.heap ~accept:t.accept_other in
-  if j < 0 then None else Some j
+      let k =
+        finish_select t i ~can_transmit_i:(can_transmit i)
+          ~taker:(fun () ->
+            Option.value ~default:(-1)
+              (min_v_flow t ~pred:(fun j fs ->
+                   j <> i && fs.lag > 0 && can_transmit j)))
+          ~other:(fun () ->
+            Option.value ~default:(-1)
+              (min_v_flow t ~pred:(fun j _ -> j <> i && can_transmit j)))
+      in
+      if k < 0 then None else Some k
 
 let[@hot] select t ~slot:_ ~predicted_good =
   if t.naive then select_naive t ~predicted_good
@@ -179,13 +185,13 @@ let[@hot] select t ~slot:_ ~predicted_good =
       t.pred <- predicted_good;
       t.skip <- i;
       let can_transmit_i = backlogged fi && predicted_good i in
-      let transmitter =
-        finish_select t i ~can_transmit_i ~taker:(opt_taker t)
-          ~other:(opt_other t)
+      let k =
+        finish_select t i ~can_transmit_i ~taker:t.find_taker
+          ~other:t.find_other
       in
       t.pred <- no_pred;
       t.skip <- -1;
-      transmitter
+      if k < 0 then None else Some k
     end
   end
 

@@ -1,93 +1,71 @@
-(* Core WF²Q spreader over a compact member list: [ids.(k)] are flow ids in
-   ascending order, [eff.(k) > 0] their effective weights.  Scanning members
-   in ascending-id order with a strict "smaller finish wins" update keeps the
-   output identical to a dense scan over the full flow array in which
-   non-members have weight 0 (they are never considered there either). *)
-let spread ~ids ~eff =
-  let m = Array.length ids in
-  let total = Array.fold_left ( + ) 0 eff in
-  if total = 0 then [||]
-  else begin
-    let sent = Array.make m 0 in
-    let out = Array.make total (-1) in
-    let eps = Params.eps_tag in
-    for pos = 0 to total - 1 do
-      let v = float_of_int pos /. float_of_int total in
-      (* Smallest finish tag among eligible slots; fall back to smallest
-         finish overall (always non-empty: some flow has slots left). *)
-      let consider restrict =
-        let best = ref (-1) in
-        let best_finish = ref 0. in
-        for k = 0 to m - 1 do
-          if sent.(k) < eff.(k) then begin
-            let w = float_of_int eff.(k) in
-            let start = float_of_int sent.(k) /. w in
-            let finish = float_of_int (sent.(k) + 1) /. w in
-            if
-              ((not restrict) || start <= v +. eps)
-              && (!best < 0 || finish < !best_finish)
-            then begin
-              best := k;
-              best_finish := finish
-            end
-          end
-        done;
-        !best
-      in
-      let k =
-        match consider true with -1 -> consider false | k -> k
-      in
-      if k < 0 then assert false;
-      out.(pos) <- ids.(k);
-      sent.(k) <- sent.(k) + 1
-    done;
-    out
-  end
-
-let frame_sparse ~flows ~weights =
-  let m = Array.length flows in
-  if Array.length weights <> m then
-    Wfs_util.Error.invalid "Spreading.frame_sparse"
-      "flows and weights must have the same length";
-  let members = ref 0 in
-  for k = 0 to m - 1 do
-    if weights.(k) > 0 then incr members;
-    if k > 0 && flows.(k) <= flows.(k - 1) then
-      Wfs_util.Error.invalid "Spreading.frame_sparse"
-        "flow ids must be strictly ascending"
-  done;
-  if !members = m then spread ~ids:flows ~eff:weights
-  else begin
-    let ids = Array.make !members (-1) in
-    let eff = Array.make !members 0 in
-    let j = ref 0 in
-    for k = 0 to m - 1 do
-      if weights.(k) > 0 then begin
-        ids.(!j) <- flows.(k);
-        eff.(!j) <- weights.(k);
-        incr j
+(* The member with a slot left whose next slot has the smallest finish tag,
+   scanning in ascending-id order with a strict "smaller finish wins"
+   update; [restrict] keeps only slots whose start tag is eligible at
+   frame fraction [pos / total].  Non-members and members with weight
+   <= 0 never have a slot left, exactly as in a dense scan over the full
+   flow array. *)
+let[@hot] best_member ~weights ~members ~sent ~pos ~total ~restrict =
+  let v = float_of_int pos /. float_of_int total in
+  let eps = Params.eps_tag in
+  let best = ref (-1) in
+  let best_finish = ref 0. in
+  for k = 0 to members - 1 do
+    if sent.(k) < weights.(k) then begin
+      let w = float_of_int weights.(k) in
+      let start = float_of_int sent.(k) /. w in
+      let finish = float_of_int (sent.(k) + 1) /. w in
+      if
+        ((not restrict) || start <= v +. eps)
+        && (!best < 0 || finish < !best_finish)
+      then begin
+        best := k;
+        best_finish := finish
       end
-    done;
-    spread ~ids ~eff
-  end
+    end
+  done;
+  !best
+
+let[@hot] spread ~(ids : int array) ~weights ~members ~sent ~out =
+  let who = "Spreading.spread" in
+  if
+    members > Array.length ids
+    || members > Array.length weights
+    || members > Array.length sent
+  then Wfs_util.Error.invalid who "member buffers shorter than [members]";
+  let total = ref 0 in
+  for k = 0 to members - 1 do
+    if k > 0 && ids.(k) <= ids.(k - 1) then
+      Wfs_util.Error.invalid who "flow ids must be strictly ascending";
+    if weights.(k) > 0 then total := !total + weights.(k);
+    sent.(k) <- 0
+  done;
+  let total = !total in
+  if Array.length out < total then
+    Wfs_util.Error.invalid who "[out] shorter than the frame";
+  for pos = 0 to total - 1 do
+    (* Smallest finish tag among eligible slots; fall back to smallest
+       finish overall (always non-empty: some member has slots left). *)
+    let k =
+      match best_member ~weights ~members ~sent ~pos ~total ~restrict:true with
+      | -1 -> best_member ~weights ~members ~sent ~pos ~total ~restrict:false
+      | k -> k
+    in
+    if k < 0 then assert false;
+    out.(pos) <- ids.(k);
+    sent.(k) <- sent.(k) + 1
+  done;
+  total
 
 let frame ~weights =
   let n = Array.length weights in
-  let members = ref 0 in
-  for i = 0 to n - 1 do
-    if weights.(i) > 0 then incr members
-  done;
-  let ids = Array.make !members (-1) in
-  let eff = Array.make !members 0 in
-  let j = ref 0 in
-  for i = 0 to n - 1 do
-    if weights.(i) > 0 then begin
-      ids.(!j) <- i;
-      eff.(!j) <- weights.(i);
-      incr j
-    end
-  done;
-  spread ~ids ~eff
+  let len =
+    Array.fold_left (fun len w -> if w > 0 then len + w else len) 0 weights
+  in
+  let out = Array.make len (-1) in
+  ignore
+    (spread ~ids:(Array.init n Fun.id) ~weights ~members:n
+       ~sent:(Array.make n 0) ~out);
+  out
 
 let is_spread_of ~weights seq =
   let n = Array.length weights in

@@ -16,14 +16,25 @@ val frame : weights:int array -> int array
     "ignore flows with effective weight < 0").
     Deterministic: ties break toward the lower flow id. *)
 
-val frame_sparse : flows:int array -> weights:int array -> int array
-(** [frame_sparse ~flows ~weights] is [frame] over a compact member list:
-    [flows] holds strictly ascending flow ids, [weights.(k)] the effective
-    weight of [flows.(k)].  The result is identical (including tie-breaks)
-    to [frame] on the dense weight array in which every absent flow has
-    weight 0, but costs O(length·members) instead of O(length·n_flows) —
-    the backlogged-flow fast path for WPS frame builds.
-    @raise Wfs_util.Error.Error on mismatched lengths or unsorted ids. *)
+val spread :
+  ids:int array ->
+  weights:int array ->
+  members:int ->
+  sent:int array ->
+  out:int array ->
+  int
+(** [spread ~ids ~weights ~members ~sent ~out] is {!frame} over a compact
+    member list, written into caller-owned buffers: the frame builder's
+    kernel, which allocates nothing.  The first [members] cells of [ids]
+    hold strictly ascending flow ids and those of [weights] their
+    effective weights (≤ 0: no slots).  It writes the frame into
+    [out.(0 .. len-1)] and returns [len = Σ max(weights.(k), 0)].  The
+    frame is identical (including tie-breaks) to {!frame} on the dense
+    weight array in which every absent flow has weight 0, but costs
+    O(len·members) instead of O(len·n_flows).  [sent] is scratch with at
+    least [members] cells; cells of the buffers past those read or
+    written are left alone.
+    @raise Wfs_util.Error.Error on unsorted ids or a buffer too short. *)
 
 val is_spread_of : weights:int array -> int array -> bool
 (** Check that a sequence contains exactly [w_i] slots of each flow [i] —

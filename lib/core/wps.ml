@@ -17,24 +17,38 @@ type flow_state = {
 
 (* [backlog] indexes the flows with a non-empty queue so frame builds and
    accounting touch only members instead of the whole flow array; the
-   per-frame fields above are non-default only for flows in [frame_flows]
-   (the members of the current frame, ascending), which is what lets
-   [new_frame] close accounts by walking that list alone.  [naive = true]
-   (differential testing) rebuilds frames with the original dense
-   whole-array scans instead; selection logic is shared, so both modes are
-   byte-identical. *)
+   per-frame fields above are non-default only for the current frame's
+   members ([members], ascending), which is what lets [new_frame] close
+   accounts by walking those alone.  A frame build writes into buffers
+   owned here — [members], [weights] and [sent] have one cell per flow and
+   [frame] grows to the longest frame seen — so it allocates nothing while
+   the membership stays the same; a membership change respreads [ring].
+   [naive = true] (differential testing) rebuilds frames with the original
+   dense whole-array scans instead; selection logic is shared, so both
+   modes are byte-identical. *)
 type t = {
   params : Params.wps;
   flows : flow_state array;
   backlog : Flow_set.t;
   mutable frame : int array;  (* flow id per slot; -1 = deleted *)
+  mutable frame_len : int;  (* cells of [frame] in the current frame *)
   mutable pos : int;
-  mutable frame_flows : int list;  (* current frame's members, ascending *)
+  members : int array;  (* current frame's members, ascending *)
+  mutable n_members : int;
+  weights : int array;  (* spread input: the members' weights *)
+  sent : int array;  (* spread scratch *)
   ring : int Ring.t;  (* cross-frame swap ring, marker persists *)
-  mutable ring_members : int list;  (* backlogged set the ring was built from *)
+  ring_members : int array;  (* backlogged set the ring was built from *)
+  mutable n_ring_members : int;
   naive : bool;
   trace : Tracelog.t option;
+  mutable pred : int -> bool;  (* current slot's predicate, during a swap *)
+  mutable swap_from : int;  (* flow whose slot a cross-frame swap reassigns *)
+  mutable eligible : int -> bool;  (* preallocated swap predicate *)
 }
+
+let no_pred (_ : int) = false
+let backlogged fs = not (Packet.Ring.is_empty fs.packets)
 
 let int_weight w =
   let k = int_of_float (Float.round w) in
@@ -51,74 +65,102 @@ let create ?params ?limits ?(naive = false) ?trace flows =
   | Some l when Array.length l <> Array.length flows ->
       Wfs_util.Error.invalid "Wps.create" "limits must match flow count"
   | Some _ | None -> ());
-  {
-    params;
-    flows =
-      Array.mapi
-        (fun i (cfg : Params.flow) ->
-          let weight_int = int_weight cfg.weight in
-          let credit_limit, debit_limit =
-            match limits with
-            | Some l -> l.(i)
-            | None -> (params.credit_limit, params.debit_limit)
-          in
-          {
-            weight_int;
-            packets = Packet.Ring.create ();
-            credit =
-              Credit.create ~credit_limit ~debit_limit
-                ?credit_per_frame:params.credit_per_frame ~weight:weight_int ();
-            attempts = 0;
-            eff = 0;
-            in_frame = false;
-            contending = false;
-          })
-        flows;
-    backlog = Flow_set.create ~n:(Array.length flows);
-    frame = [||];
-    pos = 0;
-    frame_flows = [];
-    ring = Ring.create [||];
-    ring_members = [];
-    naive;
-    trace;
-  }
+  let n = Array.length flows in
+  let t =
+    {
+      params;
+      flows =
+        Array.mapi
+          (fun i (cfg : Params.flow) ->
+            let weight_int = int_weight cfg.weight in
+            let credit_limit, debit_limit =
+              match limits with
+              | Some l -> l.(i)
+              | None -> (params.credit_limit, params.debit_limit)
+            in
+            {
+              weight_int;
+              packets = Packet.Ring.create ();
+              credit =
+                Credit.create ~credit_limit ~debit_limit
+                  ?credit_per_frame:params.credit_per_frame ~weight:weight_int
+                  ();
+              attempts = 0;
+              eff = 0;
+              in_frame = false;
+              contending = false;
+            })
+          flows;
+      backlog = Flow_set.create ~n;
+      frame = [||];
+      frame_len = 0;
+      pos = 0;
+      members = Array.make n (-1);
+      n_members = 0;
+      weights = Array.make n 0;
+      sent = Array.make n 0;
+      ring = Ring.create [||];
+      ring_members = Array.make n (-1);
+      n_ring_members = 0;
+      naive;
+      trace;
+      pred = no_pred;
+      swap_from = -1;
+      eligible = no_pred;
+    }
+  in
+  t.eligible <-
+    (fun g ->
+      g <> t.swap_from
+      && t.flows.(g).contending
+      && backlogged t.flows.(g)
+      && t.pred g);
+  t
 
-let record t ~slot ev =
-  match t.trace with None -> () | Some tr -> Tracelog.record tr ~slot ev
+(* Copy the members' effective weights ([effective]) or default weights
+   into [weights]; returns the length of the frame they spread to. *)
+let[@hot] fill_weights t ~effective =
+  let len = ref 0 in
+  for k = 0 to t.n_members - 1 do
+    let fs = t.flows.(t.members.(k)) in
+    let w = if effective then fs.eff else fs.weight_int in
+    t.weights.(k) <- w;
+    if w > 0 then len := !len + w
+  done;
+  !len
 
-let backlogged fs = not (Packet.Ring.is_empty fs.packets)
+(* The members' weights in a dense per-flow array, for the naive path;
+   after [new_frame]'s marking, [in_frame] is exactly membership. *)
+let dense_weights t ~effective =
+  Array.map
+    (fun fs ->
+      if not fs.in_frame then 0
+      else if effective then fs.eff
+      else fs.weight_int)
+    t.flows
 
-(* Compact (flow, weight) arrays for a sparse frame build. *)
-let member_weights t members weight_of =
-  let m = List.length members in
-  let ids = Array.make m (-1) in
-  let eff = Array.make m 0 in
-  List.iteri
-    (fun k i ->
-      ids.(k) <- i;
-      eff.(k) <- weight_of t.flows.(i))
-    members;
-  (ids, eff)
+let[@hot] rec same_members_from t k =
+  k >= t.n_members
+  || (t.members.(k) = t.ring_members.(k) && same_members_from t (k + 1))
 
 (* Rebuild the cross-frame swap ring when the known-backlogged set changes
    (the paper's "new queue phase"), spread by default weights. *)
-let refresh_ring t members =
-  if not (List.equal Int.equal members t.ring_members) then begin
+let refresh_ring t =
+  if not (t.n_members = t.n_ring_members && same_members_from t 0) then begin
     let seq =
       if t.naive then
-        let weights =
-          Array.mapi
-            (fun i fs -> if List.memq i members then fs.weight_int else 0)
-            t.flows
-        in
-        Spreading.frame ~weights
-      else
-        let ids, eff = member_weights t members (fun fs -> fs.weight_int) in
-        Spreading.frame_sparse ~flows:ids ~weights:eff
+        Spreading.frame ~weights:(dense_weights t ~effective:false)
+      else begin
+        let seq = Array.make (fill_weights t ~effective:false) (-1) in
+        ignore
+          (Spreading.spread ~ids:t.members ~weights:t.weights
+             ~members:t.n_members ~sent:t.sent ~out:seq);
+        seq
+      end
     in
     Ring.rebuild t.ring seq;
-    t.ring_members <- members
+    Array.blit t.members 0 t.ring_members 0 t.n_members;
+    t.n_ring_members <- t.n_members
   end
 
 let close_frame_accounts t fs =
@@ -132,47 +174,58 @@ let close_frame_accounts t fs =
 (* Close the previous frame's accounts and open a new frame over the flows
    known backlogged now. *)
 let new_frame t ~slot =
-  if t.naive then Array.iter (close_frame_accounts t) t.flows
-  else List.iter (fun i -> close_frame_accounts t t.flows.(i)) t.frame_flows;
-  let members =
-    if t.naive then begin
-      let members = ref [] in
-      Array.iteri
-        (fun i fs -> if backlogged fs then members := i :: !members)
-        t.flows;
-      List.rev !members
-    end
-    else Flow_set.elements t.backlog
-  in
-  List.iter
-    (fun i ->
-      let fs = t.flows.(i) in
-      fs.in_frame <- true;
-      fs.contending <- true;
-      fs.eff <-
-        (if t.params.credits then Credit.begin_frame fs.credit else fs.weight_int))
-    members;
-  (t.frame <-
-     (if t.naive then
-        let weights =
-          Array.map (fun fs -> if fs.in_frame then fs.eff else 0) t.flows
-        in
-        Spreading.frame ~weights
-      else
-        let ids, eff = member_weights t members (fun fs -> fs.eff) in
-        Spreading.frame_sparse ~flows:ids ~weights:eff));
+  if t.naive then begin
+    Array.iter (close_frame_accounts t) t.flows;
+    t.n_members <- 0;
+    Array.iteri
+      (fun i fs ->
+        if backlogged fs then begin
+          t.members.(t.n_members) <- i;
+          t.n_members <- t.n_members + 1
+        end)
+      t.flows
+  end
+  else begin
+    for k = 0 to t.n_members - 1 do
+      close_frame_accounts t t.flows.(t.members.(k))
+    done;
+    t.n_members <- Flow_set.cardinal t.backlog;
+    for k = 0 to t.n_members - 1 do
+      t.members.(k) <- Flow_set.get t.backlog k
+    done
+  end;
+  for k = 0 to t.n_members - 1 do
+    let fs = t.flows.(t.members.(k)) in
+    fs.in_frame <- true;
+    fs.contending <- true;
+    fs.eff <-
+      (if t.params.credits then Credit.begin_frame fs.credit else fs.weight_int)
+  done;
+  if t.naive then begin
+    t.frame <- Spreading.frame ~weights:(dense_weights t ~effective:true);
+    t.frame_len <- Array.length t.frame
+  end
+  else begin
+    let len = fill_weights t ~effective:true in
+    if len > Array.length t.frame then
+      t.frame <- Array.make (Int.max len (2 * Array.length t.frame)) (-1);
+    t.frame_len <-
+      Spreading.spread ~ids:t.members ~weights:t.weights ~members:t.n_members
+        ~sent:t.sent ~out:t.frame
+  end;
   t.pos <- 0;
-  t.frame_flows <- members;
-  refresh_ring t members;
-  if Array.length t.frame > 0 then
-    record t ~slot (Tracelog.Frame_start { length = Array.length t.frame })
+  refresh_ring t;
+  match t.trace with
+  | Some tr when t.frame_len > 0 ->
+      Tracelog.record tr ~slot (Tracelog.Frame_start { length = t.frame_len })
+  | Some _ | None -> ()
 
 (* A flow drained its queue mid-frame: delete its remaining slots and make
    sure the unused grant does not turn into credit (empty queues are not
    compensable — only channel error is). *)
 let drop_from_frame t f =
   let fs = t.flows.(f) in
-  for i = t.pos to Array.length t.frame - 1 do
+  for i = t.pos to t.frame_len - 1 do
     if t.frame.(i) = f then t.frame.(i) <- -1
   done;
   fs.contending <- false;
@@ -185,6 +238,12 @@ let drop_from_frame t f =
    queues (the fluid model compensates error, never idleness).  Contending
    flows are a subset of the current frame's members, so only those need
    scanning (order is irrelevant: pure existence). *)
+let[@hot] rec exists_good_member t ~predicted_good k =
+  k < t.n_members
+  && ((let i = t.members.(k) in
+       t.flows.(i).contending && predicted_good i)
+     || exists_good_member t ~predicted_good (k + 1))
+
 let exists_good_channel t ~predicted_good =
   if t.naive then begin
     let found = ref false in
@@ -194,10 +253,12 @@ let exists_good_channel t ~predicted_good =
       t.flows;
     !found
   end
-  else
-    List.exists
-      (fun i -> t.flows.(i).contending && predicted_good i)
-      t.frame_flows
+  else exists_good_member t ~predicted_good 0
+
+let record_swap t ~slot ~from_flow ~to_flow =
+  match t.trace with
+  | None -> ()
+  | Some tr -> Tracelog.record tr ~slot (Tracelog.Swap { from_flow; to_flow })
 
 (* Intra-frame swap: find a later slot in the frame held by a flow that is
    backlogged and predicted good, and exchange it with position [pos]. *)
@@ -208,7 +269,7 @@ let rec swap_scan t ~predicted_good ~slot f limit j =
     if g >= 0 && g <> f && backlogged t.flows.(g) && predicted_good g then begin
       t.frame.(j) <- f;
       t.frame.(t.pos) <- g;
-      record t ~slot (Tracelog.Swap { from_flow = f; to_flow = g });
+      record_swap t ~slot ~from_flow:f ~to_flow:g;
       true
     end
     else swap_scan t ~predicted_good ~slot f limit (j + 1)
@@ -218,32 +279,33 @@ let try_swap_intra t ~predicted_good ~slot =
   let f = t.frame.(t.pos) in
   let limit =
     match t.params.swap_window with
-    | None -> Array.length t.frame
-    | Some w -> Int.min (Array.length t.frame) (t.pos + w)
+    | None -> t.frame_len
+    | Some w -> Int.min t.frame_len (t.pos + w)
   in
   swap_scan t ~predicted_good ~slot f limit (t.pos + 1)
 
 (* Cross-frame reallocation: hand the slot to the next good backlogged flow
    on the marker ring; accounts settle implicitly through attempts. *)
-let try_swap_inter t ~predicted_good ~slot =
+let[@hot] try_swap_inter t ~predicted_good ~slot =
   let f = t.frame.(t.pos) in
-  let eligible g =
-    g <> f && t.flows.(g).contending && backlogged t.flows.(g) && predicted_good g
-  in
-  match Ring.next_matching t.ring eligible with
-  | Some g ->
-      record t ~slot (Tracelog.Swap { from_flow = f; to_flow = g });
-      Some g
-  | None -> None
+  t.pred <- predicted_good;
+  t.swap_from <- f;
+  let found = Ring.next_matching t.ring t.eligible in
+  t.pred <- no_pred;
+  t.swap_from <- -1;
+  (match found with
+  | Some g -> record_swap t ~slot ~from_flow:f ~to_flow:g
+  | None -> ());
+  found
 
 (* Bounded by frame rebuilds: each pass either consumes a frame position
    or rebuilds an exhausted frame, and an empty rebuild idles. *)
 let[@hot] rec pick t ~slot ~predicted_good ~rebuilt =
-  if t.pos >= Array.length t.frame then
+  if t.pos >= t.frame_len then
     if rebuilt then None
     else begin
       new_frame t ~slot;
-      if Array.length t.frame = 0 then None
+      if t.frame_len = 0 then None
       else pick t ~slot ~predicted_good ~rebuilt:true
     end
   else begin
@@ -282,10 +344,10 @@ let[@hot] rec pick t ~slot ~predicted_good ~rebuilt =
              good-channel peer is idle the slot is skipped with the
              credit kept (attempts untouched). *)
           match try_swap_inter t ~predicted_good ~slot with
-          | Some g ->
+          | Some g as found ->
               t.pos <- t.pos + 1;
               t.flows.(g).attempts <- t.flows.(g).attempts + 1;
-              Some g
+              found
           | None ->
               t.pos <- t.pos + 1;
               pick t ~slot ~predicted_good ~rebuilt
@@ -406,8 +468,7 @@ let credit t ~flow = Credit.balance t.flows.(flow).credit
 let effective_weight t ~flow = if t.flows.(flow).in_frame then t.flows.(flow).eff else 0
 
 let frame_snapshot t =
-  let len = Array.length t.frame in
-  let pos = Int.min t.pos len in
-  Array.sub t.frame pos (len - pos)
+  let pos = Int.min t.pos t.frame_len in
+  Array.sub t.frame pos (t.frame_len - pos)
 
 let frame_position t = t.pos

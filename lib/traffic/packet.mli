@@ -24,16 +24,25 @@ val age : t -> now:int -> int
 
 val pp : Format.formatter -> t -> unit
 
-(** One flow's FIFO of queued packets, stored as ints.
+(** One flow's FIFO of queued packets, stored as runs of ints.
 
     The wireless schedulers ({!Wfs_core.Iwfq}, {!Wfs_core.Wps},
     {!Wfs_core.Cifq}, {!Wfs_core.Csdps}) keep every queued packet here
-    rather than as a heap block: a flat [int array] holds three cells per
-    packet — seq, arrival, attempts — in a circular buffer whose capacity
-    is a power of two and doubles when full.  A ring holds no storage
-    until its first {!push}, so flows that never receive a packet cost one
-    small record.  The packet's [flow] is implied by whose ring it is, and
-    [size] is not kept: slotted wireless packets are size 1.
+    rather than as a heap block.  A flat [int array] is a circular buffer
+    of entries, three cells each — first seq, arrival, tail — whose
+    capacity is a power of two and doubles when full.  A tail [a >= 0] is
+    one packet with [a] attempts; a tail [-k] is a run of [k + 1] packets
+    with consecutive seqs, the entry's arrival slot and no attempts.  In
+    the slotted model every packet a flow receives in one slot joins one
+    run, so a saturated queue grows per slot rather than per packet, while
+    a stream of single arrivals costs one entry per packet.  A ring holds
+    no storage until its first {!push}, so flows that never receive a
+    packet cost one small record.  The packet's [flow] is implied by whose
+    ring it is, and [size] is not kept: slotted wireless packets are size
+    1.
+
+    The encoding is invisible: every function below sees the packet
+    sequence, one packet at a time.
 
     Reads and pops on an empty ring raise
     [Invalid_argument "Packet.Ring.<function>: empty queue"]. *)
@@ -45,21 +54,27 @@ module Ring : sig
   (** An empty ring with no storage. *)
 
   val length : t -> int
+  (** Packets queued. *)
+
   val is_empty : t -> bool
 
   val capacity : t -> int
-  (** Packets the current storage holds: 0 before the first {!push}, then
-      a power of two that doubles whenever the ring is full. *)
+  (** Entries the current storage holds, not packets: 0 before the first
+      {!push}, then a power of two that doubles whenever the ring is full. *)
 
   val push : t -> packet -> unit
   (** Append at the tail, copying the packet's [seq], [arrival] and
-      [attempts]; the record itself is not kept. *)
+      [attempts]; the record itself is not kept.  The tail entry takes the
+      packet when the packet has no attempts, shares the tail's arrival
+      slot and its seq is one past the tail's last, and the tail is not a
+      single packet with attempts; otherwise the packet gets an entry of
+      its own. *)
 
   val pop_front : t -> unit
-  (** Remove the head packet. *)
+  (** Remove the head packet, shrinking the head entry. *)
 
   val pop_back : t -> unit
-  (** Remove the most recent packet. *)
+  (** Remove the most recent packet, shrinking the tail entry. *)
 
   val head_seq : t -> int
   val head_arrival : t -> int
@@ -68,7 +83,9 @@ module Ring : sig
   (** Fields of the head packet; none of the three reads allocates. *)
 
   val bump_attempts : t -> unit
-  (** Count one more transmission attempt on the head packet. *)
+  (** Count one more transmission attempt on the head packet.  A head
+      inside a run is first split off as its own entry in front of the
+      rest of the run, growing the ring if it is full. *)
 
   val head : t -> flow:int -> packet
   (** The head packet as a fresh record owned by [flow] (size 1), for

@@ -76,7 +76,3 @@ let fold f acc t =
     acc := f !acc t.elts.(i)
   done;
   !acc
-
-let elements t =
-  let rec build i acc = if i < 0 then acc else build (i - 1) (t.elts.(i) :: acc) in
-  build (t.count - 1) []

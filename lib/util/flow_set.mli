@@ -30,5 +30,3 @@ val find_from : t -> int -> int
 
 val iter : (int -> unit) -> t -> unit
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-val elements : t -> int list
-(** Ascending. *)

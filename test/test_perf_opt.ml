@@ -107,7 +107,16 @@ let drain_ring r =
   in
   go []
 
-(* Ops: 0-1 push, 2 pop_front, 3 pop_back, 4 bump the head's attempts. *)
+let push_ring r model (seq, arrival, attempts) =
+  let p = Packet.make ~flow:0 ~seq ~arrival () in
+  p.attempts <- attempts;
+  Ring.push r p;
+  model @ [ (seq, arrival, attempts) ]
+
+(* Ops: 0-1 push a packet of its own slot, 2 pop_front, 3 pop_back, 4 bump
+   the head's attempts; then, relative to the newest packet: 5-6 the next
+   seq in its slot (joins its run), 7 the next seq in its slot with
+   attempts, 8 the next seq in the next slot, 9 a seq gap in its slot. *)
 let apply_ring_op r model (op, x) =
   let head_matches () =
     match model with
@@ -118,12 +127,17 @@ let apply_ring_op r model (op, x) =
         && Ring.head_attempts r = attempts
   in
   assert (head_matches ());
-  match op mod 5 with
-  | 0 | 1 ->
-      let p = Packet.make ~flow:0 ~seq:x ~arrival:(x * 3) () in
-      p.attempts <- x mod 4;
-      Ring.push r p;
-      model @ [ (x, x * 3, x mod 4) ]
+  let seq, arrival =
+    match List.rev model with
+    | [] -> (x, x * 3)
+    | (seq, arrival, _) :: _ -> (seq + 1, arrival)
+  in
+  match op mod 10 with
+  | 0 | 1 -> push_ring r model (x, x * 3, x mod 4)
+  | 5 | 6 -> push_ring r model (seq, arrival, 0)
+  | 7 -> push_ring r model (seq, arrival, 1 + (x mod 3))
+  | 8 -> push_ring r model (seq, arrival + 1, 0)
+  | 9 -> push_ring r model (seq + 1, arrival, 0)
   | 2 -> (
       match model with
       | [] -> []
@@ -198,6 +212,67 @@ let test_ring_reads_and_growth () =
     (Invalid_argument "Packet.Ring.head: empty queue")
     (fun () -> ignore (Ring.head_seq r));
   check_bool "drained" true (Ring.is_empty r)
+
+(* One entry per run of packets that share a slot, follow on in seq and
+   have no attempts; [capacity] counts entries, [length] packets. *)
+let test_ring_runs () =
+  let push ?(attempts = 0) r seq arrival =
+    let p = Packet.make ~flow:0 ~seq ~arrival () in
+    p.attempts <- attempts;
+    Ring.push r p
+  in
+  let check_packets msg expect r =
+    Alcotest.(check (list (pair int (pair int int))))
+      msg expect
+      (List.map (fun (s, a, k) -> (s, (a, k))) (drain_ring r))
+  in
+  let r = Ring.create () in
+  for seq = 0 to 7 do
+    push r seq 5
+  done;
+  check_int "eight packets of one slot" 8 (Ring.length r);
+  check_int "fill one entry" 1 (Ring.capacity r);
+  push r ~attempts:2 8 5;
+  push r 9 5;
+  push r 10 6;
+  push r 12 6;
+  check_int "attempts, a new slot and a seq gap start entries" 8
+    (Ring.capacity r);
+  check_packets "packets of the runs"
+    (List.init 8 (fun s -> (s, (5, 0)))
+    @ [ (8, (5, 2)); (9, (5, 0)); (10, (6, 0)); (12, (6, 0)) ])
+    r;
+  (* A full, wrapped ring whose head is a run: three single packets and
+     the run 3..5 fill four entries, the singles leave, three more come. *)
+  let r = Ring.create () in
+  List.iter (fun s -> push r s s) [ 0; 1; 2 ];
+  List.iter (fun s -> push r s 3) [ 3; 4; 5 ];
+  for _ = 1 to 3 do
+    Ring.pop_front r
+  done;
+  List.iter (fun s -> push r s (s - 2)) [ 6; 7; 8 ];
+  check_int "full before the split" 4 (Ring.capacity r);
+  check_int "head inside the run" 3 (Ring.head_seq r);
+  Ring.bump_attempts r;
+  Ring.bump_attempts r;
+  check_int "the split grew the ring" 8 (Ring.capacity r);
+  check_int "split head attempts" 2 (Ring.head_attempts r);
+  check_packets "the failed head split off its run"
+    [ (3, (3, 2)); (4, (3, 0)); (5, (3, 0)); (6, (4, 0)); (7, (5, 0));
+      (8, (6, 0)) ]
+    r;
+  let r = Ring.create () in
+  for seq = 0 to 5 do
+    push r seq 0
+  done;
+  push r 6 1;
+  for _ = 1 to 3 do
+    Ring.pop_back r
+  done;
+  Ring.bump_attempts r;
+  check_packets "pop_back across a run boundary"
+    [ (0, (0, 1)); (1, (0, 0)); (2, (0, 0)); (3, (0, 0)) ]
+    r
 
 (* --- Flow_heap vs naive model --- *)
 
@@ -283,7 +358,7 @@ let prop_flow_set_model =
             Flow_set.remove s x;
             model := List.filter (fun y -> y <> x) !model
           end;
-          Flow_set.elements s = !model
+          List.init (Flow_set.cardinal s) (Flow_set.get s) = !model
           && Flow_set.cardinal s = List.length !model
           && List.for_all (fun y -> Flow_set.mem s y) !model
           (* find_from: position of the first member >= x, cardinal if none. *)
@@ -445,22 +520,40 @@ let prop_csdps_differential =
         (fun () -> Core.Csdps.instance (Core.Csdps.create ~backoff ~naive:true flows))
         (fun () -> Core.Csdps.instance (Core.Csdps.create ~backoff flows)))
 
-(* --- Sparse spreading == dense spreading --- *)
+(* --- The spread kernel == dense spreading --- *)
 
-let prop_frame_sparse_matches_dense =
-  QCheck.Test.make ~name:"frame_sparse equals dense frame" ~count:300
-    QCheck.(list_of_size Gen.(1 -- 12) (int_bound 5))
-    (fun weights ->
-      let dense = Array.of_list weights in
-      let n = Array.length dense in
-      let members = ref [] in
-      for i = n - 1 downto 0 do
-        if dense.(i) > 0 then members := i :: !members
-      done;
-      let flows = Array.of_list !members in
-      let sparse_w = Array.map (fun i -> dense.(i)) flows in
-      Core.Spreading.frame ~weights:dense
-      = Core.Spreading.frame_sparse ~flows ~weights:sparse_w)
+(* Two spreads through the same buffers, as WPS's frame builds reuse them:
+   members with weight <= 0 stay on the member list (the kernel gives them
+   no slots), and the second spread must not read the first's cells. *)
+let prop_spread_matches_dense =
+  QCheck.Test.make ~name:"spread kernel equals dense frame" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 12) (int_range (-2) 5))
+        (list_of_size Gen.(1 -- 12) (int_range (-2) 5)))
+    (fun (first, second) ->
+      let n = 12 in
+      let ids = Array.make n (-1) in
+      let weights = Array.make n 0 in
+      let sent = Array.make n 0 in
+      let out = Array.make (5 * n) (-1) in
+      let matches ws =
+        let dense = Array.of_list ws in
+        let members = ref 0 in
+        Array.iteri
+          (fun i w ->
+            if w <> 0 then begin
+              ids.(!members) <- i;
+              weights.(!members) <- w;
+              incr members
+            end)
+          dense;
+        let len =
+          Core.Spreading.spread ~ids ~weights ~members:!members ~sent ~out
+        in
+        Array.sub out 0 len = Core.Spreading.frame ~weights:dense
+      in
+      matches first && matches second)
 
 (* --- Null sources and static channels (simulator skip contracts) --- *)
 
@@ -715,28 +808,43 @@ let make_sched name ~n_flows =
   let flows = Array.init n_flows (fun id -> Core.Params.flow ~id ~weight:1. ()) in
   (Core.Registry.get name).Core.Registry.make ~credit_limit:4 ~debit_limit:4 flows
 
-(* A queued packet costs the flow's ring three ints (IWFQ adds its two slot
-   tags); doubling can leave at most as much again unused.  A boxed packet
-   record per queued packet costs 9 or more words. *)
+(* A packet of its own slot costs the flow's ring one three-int entry
+   (IWFQ adds its two slot tags); doubling can leave at most as much again
+   unused.  A boxed packet record per queued packet costs 9 or more words.
+   A burst of 8 packets per slot shares one entry, so the ring grows per
+   slot, not per packet; IWFQ still keeps one tag pair per packet. *)
 let test_store_footprint () =
   let n = 8192 in
   List.iter
-    (fun name ->
-      let sched = make_sched name ~n_flows:2 in
-      let before = Obj.reachable_words (Obj.repr sched) in
-      for seq = 0 to n - 1 do
-        sched.enqueue ~slot:0 (Packet.make ~flow:0 ~seq ~arrival:0 ())
-      done;
-      let grown = Obj.reachable_words (Obj.repr sched) - before in
-      check_int (name ^ ": all queued") n (sched.queue_length 0);
-      check_bool
-        (Printf.sprintf "%s: %d words for %d queued packets (at most 6 each)"
-           name grown n)
-        true (grown <= 6 * n))
-    store_scheds
+    (fun (per_slot, words) ->
+      List.iter
+        (fun name ->
+          let sched = make_sched name ~n_flows:2 in
+          let before = Obj.reachable_words (Obj.repr sched) in
+          for seq = 0 to n - 1 do
+            sched.enqueue ~slot:0
+              (Packet.make ~flow:0 ~seq ~arrival:(seq / per_slot) ())
+          done;
+          let grown = Obj.reachable_words (Obj.repr sched) - before in
+          let bound = words name in
+          check_int (name ^ ": all queued") n (sched.queue_length 0);
+          check_bool
+            (Printf.sprintf
+               "%s, %d per slot: %d words for %d queued packets (at most %d \
+                each)"
+               name per_slot grown n bound)
+            true
+            (grown <= bound * n))
+        store_scheds)
+    [
+      (1, fun _ -> 6);
+      (8, fun name -> if String.equal name "IWFQ-P" then 5 else 1);
+    ]
 
 (* Attempts belong to the packet: copied in by [enqueue], read back at the
-   head, and carried out and back in by a cell's dissolve/rebuild. *)
+   head, and carried out and back in by a cell's dissolve/rebuild.  A run
+   of one slot whose head fails, as a driver records it on the ring,
+   splits that head off and must carry its attempt along too. *)
 let test_store_keeps_attempts () =
   List.iter
     (fun name ->
@@ -748,6 +856,21 @@ let test_store_keeps_attempts () =
       check_int (name ^ ": head attempts") 2 (Ring.head_attempts q);
       check_int (name ^ ": head seq") 7 (Ring.head_seq q);
       check_int (name ^ ": head arrival") 3 (Ring.head_arrival q);
+      for seq = 0 to 3 do
+        sched.enqueue ~slot:3 (Packet.make ~flow:0 ~seq ~arrival:3 ())
+      done;
+      let q = sched.packets 0 in
+      Ring.bump_attempts q;
+      check_int (name ^ ": failed run head") 1 (Ring.head_attempts q);
+      let rec drain acc =
+        if Ring.is_empty q then List.rev acc
+        else begin
+          let p = Ring.head q ~flow:1 in
+          sched.drop_head ~flow:0;
+          drain (p :: acc)
+        end
+      in
+      let run = drain [] in
       let entry = Core.Registry.get name in
       let members =
         Array.to_list
@@ -769,13 +892,21 @@ let test_store_keeps_attempts () =
       let parcels =
         List.map
           (fun (pc : Wfs_topo.Cell.parcel) ->
-            if pc.member.gid = 0 then { pc with backlog } else pc)
+            if pc.member.gid = 0 then { pc with backlog }
+            else { pc with backlog = run })
           (Wfs_topo.Cell.dissolve cell)
       in
       let view (pc : Wfs_topo.Cell.parcel) =
-        List.map (fun (p : Packet.t) -> (p.flow, p.seq, p.arrival, p.attempts)) pc.backlog
+        List.map
+          (fun (p : Packet.t) -> (p.flow, (p.seq, (p.arrival, p.attempts))))
+          pc.backlog
       in
-      let expect = List.map (fun (p : Packet.t) -> (0, p.seq, 0, p.attempts)) backlog in
+      let expect =
+        List.map (fun (p : Packet.t) -> (0, (p.seq, (0, p.attempts)))) backlog
+        @ List.map
+            (fun (seq, attempts) -> (1, (seq, (3, attempts))))
+            [ (0, 1); (1, 0); (2, 0); (3, 0) ]
+      in
       let twice =
         Wfs_topo.Cell.dissolve (Wfs_topo.Cell.rebuild cell ~slot:0 parcels)
       in
@@ -786,12 +917,67 @@ let test_store_keeps_attempts () =
         (fun round ->
           Alcotest.(check (list (pair int (pair int (pair int int)))))
             (name ^ ": backlog survives dissolve/rebuild")
-            (List.map (fun (f, s, a, k) -> (f, (s, (a, k)))) expect)
-            (List.map
-               (fun (f, s, a, k) -> (f, (s, (a, k))))
-               (view (List.hd round))))
+            expect
+            (List.concat_map view round))
         [ twice; thrice ])
     store_scheds
+
+(* --- Minor words per select --- *)
+
+(* Four backlogged flows, a fixed pattern of predicted channel errors (one
+   slot in three per flow, so the swap and redistribution paths run), and
+   a delivery or a failure after every pick.  Apart from the [Some f] that
+   [select] returns (2 words), WPS allocates only for a cross-frame swap
+   and a change of frame membership, and CIF-Q for the boxed virtual time
+   it charges.  The budget holds without cross-module inlining, so the dev
+   build that runs this test binds it as well as a release build. *)
+let select_words name =
+  let n_flows = 4 and calls = 20_000 and backlog = 30_000 in
+  let sched = make_sched name ~n_flows in
+  for seq = 0 to backlog - 1 do
+    for flow = 0 to n_flows - 1 do
+      sched.enqueue ~slot:0 (Packet.make ~flow ~seq ~arrival:(seq / 8) ())
+    done
+  done;
+  let rng = Rng.create 11 in
+  let bad = Array.init 997 (fun _ -> Rng.int rng 3 = 0) in
+  let slot = ref 0 in
+  let predicted_good f = not bad.(((!slot * n_flows) + f) mod 997) in
+  let step () =
+    (match sched.select ~slot:!slot ~predicted_good with
+    | Some f when predicted_good f -> sched.complete ~flow:f
+    | Some f -> sched.fail ~flow:f
+    | None -> ());
+    sched.on_slot_end ~slot:!slot;
+    incr slot
+  in
+  for _ = 1 to 1_000 do
+    step ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    step ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let test_select_words () =
+  List.iter
+    (fun (names, budget) ->
+      List.iter
+        (fun name ->
+          let words = select_words name in
+          check_bool
+            (Printf.sprintf "%s: %.2f minor words per select (at most %.0f)"
+               name words budget)
+            true (words <= budget))
+        names)
+    [
+      ( List.map
+          (fun (e : Core.Registry.entry) -> e.name)
+          (Core.Registry.table1 ()),
+        6. );
+      ([ "CIF-Q-P" ], 10.);
+    ]
 
 let suite =
   [
@@ -801,9 +987,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ring_model;
     QCheck_alcotest.to_alcotest prop_slot_queue_trim;
     Alcotest.test_case "packet ring reads/growth" `Quick test_ring_reads_and_growth;
+    Alcotest.test_case "packet ring runs" `Quick test_ring_runs;
     Alcotest.test_case "packet store footprint" `Quick test_store_footprint;
     Alcotest.test_case "packet store keeps attempts" `Quick
       test_store_keeps_attempts;
+    Alcotest.test_case "select minor words" `Quick test_select_words;
     QCheck_alcotest.to_alcotest prop_flow_heap_model;
     Alcotest.test_case "flow_heap basics" `Quick test_flow_heap_basics;
     QCheck_alcotest.to_alcotest prop_flow_set_model;
@@ -811,7 +999,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cifq_differential;
     QCheck_alcotest.to_alcotest prop_wps_differential;
     QCheck_alcotest.to_alcotest prop_csdps_differential;
-    QCheck_alcotest.to_alcotest prop_frame_sparse_matches_dense;
+    QCheck_alcotest.to_alcotest prop_spread_matches_dense;
     Alcotest.test_case "never source" `Quick test_never_source;
     Alcotest.test_case "static channel" `Quick test_static_channel;
     QCheck_alcotest.to_alcotest prop_arrival_next_event_equiv;
