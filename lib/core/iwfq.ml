@@ -3,7 +3,6 @@ module Flow_heap = Wfs_util.Flow_heap
 module Flow_set = Wfs_util.Flow_set
 
 type flow_state = {
-  cfg : Params.flow;
   packets : Ring.t;
   slots : Slot_queue.t;
 }
@@ -48,9 +47,10 @@ let create ?params ?(naive = false) flows =
         Array.map
           (fun (cfg : Params.flow) ->
             {
-              cfg;
               packets = Ring.create ();
-              slots = Slot_queue.create ~weight:cfg.weight;
+              slots =
+                Slot_queue.create ~weight:cfg.weight
+                  ~max_lead:params.lead.(cfg.id);
             })
           flows;
       fluid = Fluid_ref.create ~weights ();
@@ -127,13 +127,9 @@ let readjust_flow t i fs ~v =
   for _ = 1 to deleted do
     Ring.pop_back fs.packets
   done;
-  if Slot_queue.clamp_lead fs.slots ~v ~max_lead:t.params.lead.(i)
-       ~weight:fs.cfg.weight
-     && not t.naive
-  then refresh_flow t i
+  if Slot_queue.clamp_lead fs.slots ~v && not t.naive then refresh_flow t i
 
-let readjust t =
-  let v = Fluid_ref.virtual_time t.fluid in
+let readjust t ~v =
   if t.naive then
     (* Reference path: visit every flow, as the pre-index code did.  The
        extra visits are no-ops (empty slot queues trim and clamp to
@@ -177,8 +173,8 @@ let select_naive t ~predicted_good ~v =
   else best false
 
 let[@hot] select t ~slot:_ ~predicted_good =
-  readjust t;
   let v = Fluid_ref.virtual_time t.fluid in
+  readjust t ~v;
   if t.naive then select_naive t ~predicted_good ~v
   else begin
     t.pred <- predicted_good;

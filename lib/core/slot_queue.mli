@@ -13,18 +13,40 @@
     packet drop pops the packet plus the {e tail} slot; a lag-bound slot trim
     pops tail packets.
 
-    The tags live in one flat float ring (two cells per slot, power-of-two
-    capacity, doubling growth, no storage before the first {!add}); there
-    is no per-slot record. *)
+    The tags live in one flat float ring of {e runs} (power-of-two
+    capacity, doubling growth, no storage before the first {!add}).  While
+    a flow stays backlogged, each slot starts exactly where the one before
+    it finished (equations (2)–(3)), so one two-cell entry — the first
+    slot's start tag and the slot count — holds the whole stretch.  Every
+    other tag is derived by the addition rule: a slot's finish is its start
+    [+. 1/r_i], and the next slot of the entry starts at that finish.  The
+    derivation repeats, one [+.] per slot, the additions {!add} performed,
+    and no tag is computed in closed form, so every tag, comparison and
+    selection is bit-identical to a queue that stored two floats per slot.
+
+    - {!add} extends the tail entry when the new slot starts at the chain
+      and the chain is still the tail slot's finish; after a {!pop_back},
+      or a {!trim_lagging} that removed the tail, it opens a new entry.
+    - {!pop_front} walks the head entry's start forward by one slot.
+    - {!trim_lagging} and {!clamp_lead} split entries, walking the same
+      additions to each split point. *)
 
 type t
 
-val create : weight:float -> t
+val create : weight:float -> max_lead:float -> t
 (** [weight] is the flow's [r_i], used to compute finish tags
-    ([F = S + 1/r_i] with packet size 1). *)
+    ([F = S + 1/r_i] with packet size 1); [max_lead] is its lead bound
+    [l_i] in packets, which {!clamp_lead} enforces. *)
 
 val length : t -> int
+(** Slots queued. *)
+
 val is_empty : t -> bool
+
+val capacity : t -> int
+(** Entries the ring has room for before it grows: 0 before the first
+    {!add}, then a power of two.  A backlogged flow's slots share one
+    entry. *)
 
 val add : t -> v:float -> unit
 (** Append a slot for a packet arriving at virtual time [v]:
@@ -40,7 +62,8 @@ val pop_front : t -> unit
 
 val pop_back : t -> unit
 (** Discard the most recent slot (paired with a packet drop so the flow
-    keeps its earliest tags).  Both pops raise [Invalid_argument] on an
+    keeps its earliest tags).  The next {!add} still chains from the
+    discarded slot's finish.  Both pops raise [Invalid_argument] on an
     empty queue. *)
 
 val lagging_count : t -> v:float -> int
@@ -50,14 +73,18 @@ val lagging_count : t -> v:float -> int
 val trim_lagging : t -> v:float -> max_lagging:int -> int
 (** Enforce the per-flow lag bound (Section 4.1 step 4a): if more than
     [max_lagging] slots lag behind [v], retain the [max_lagging]
-    lowest-tagged ones and delete the rest of the lagging prefix, shifting
-    whichever side of the deleted range is shorter.  Returns the number of
-    slots deleted. *)
+    lowest-tagged ones and delete the rest of the lagging prefix.  The
+    entry holding the first deleted slot keeps the slots before it; the
+    entry holding the first slot after the deleted range keeps the slots
+    from there on, its start walked forward to it.  A range inside one
+    entry splits it in two.  Returns the number of slots deleted. *)
 
-val clamp_lead : t -> v:float -> max_lead:float -> weight:float -> bool
+val clamp_lead : t -> v:float -> bool
 (** Enforce the lead bound (Section 4.1 step 4b): if the head slot's start
-    tag exceeds [v + max_lead/weight], reset it to exactly that and its
-    finish tag to [start + 1/weight].  Returns [true] if clamped. *)
+    tag exceeds [v + max_lead/weight], reset it to exactly that, so its
+    finish becomes [start + 1/weight].  A head slot sharing an entry is
+    split off first; the rest of the entry starts where the head finished
+    before the clamp.  Returns [true] if clamped. *)
 
 val to_list : t -> (float * float) list
 (** [(start, finish)] pairs, front to back. *)

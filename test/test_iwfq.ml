@@ -142,7 +142,7 @@ let prop_fluid_matches_continuous_gps =
 (* --- Slot queue --- *)
 
 let test_slot_queue_tags () =
-  let q = Sq.create ~weight:0.5 in
+  let q = Sq.create ~weight:0.5 ~max_lead:4. in
   Sq.add q ~v:0.;
   Sq.add q ~v:0.;
   let (s1_start, s1_finish), (s2_start, _) =
@@ -154,14 +154,14 @@ let test_slot_queue_tags () =
   check_int "length" 2 (Sq.length q)
 
 let test_slot_queue_tags_after_idle () =
-  let q = Sq.create ~weight:1. in
+  let q = Sq.create ~weight:1. ~max_lead:4. in
   Sq.add q ~v:0.;
   Sq.pop_front q;
   Sq.add q ~v:5.;
   check_float "restarts at v" 5. (Sq.head_start q)
 
 let test_slot_queue_pop_back () =
-  let q = Sq.create ~weight:1. in
+  let q = Sq.create ~weight:1. ~max_lead:4. in
   Sq.add q ~v:0.;
   Sq.add q ~v:0.;
   let s1 = match Sq.to_list q with [ s1; _ ] -> s1 | _ -> Alcotest.fail "two slots" in
@@ -171,7 +171,7 @@ let test_slot_queue_pop_back () =
   check_float "head intact" (snd s1) (Sq.head_finish q)
 
 let test_slot_queue_lagging_count () =
-  let q = Sq.create ~weight:1. in
+  let q = Sq.create ~weight:1. ~max_lead:4. in
   for _ = 1 to 5 do
     Sq.add q ~v:0.
   done;
@@ -180,7 +180,7 @@ let test_slot_queue_lagging_count () =
   check_int "none below v=0.5" 0 (Sq.lagging_count q ~v:0.5)
 
 let test_slot_queue_trim_lagging () =
-  let q = Sq.create ~weight:1. in
+  let q = Sq.create ~weight:1. ~max_lead:4. in
   for _ = 1 to 6 do
     Sq.add q ~v:0.
   done;
@@ -193,23 +193,23 @@ let test_slot_queue_trim_lagging () =
   Alcotest.(check (list (float 1e-9))) "kept lowest + tail" [ 1.; 2.; 6. ] finishes
 
 let test_slot_queue_trim_noop () =
-  let q = Sq.create ~weight:1. in
+  let q = Sq.create ~weight:1. ~max_lead:4. in
   Sq.add q ~v:0.;
   check_int "no deletion needed" 0 (Sq.trim_lagging q ~v:10. ~max_lagging:5)
 
 let test_slot_queue_clamp_lead () =
-  let q = Sq.create ~weight:1. in
+  let q = Sq.create ~weight:1. ~max_lead:4. in
   Sq.add q ~v:10.;
   (* head start 10; with v=0 and max_lead 4, limit = 4 -> clamp *)
-  check_bool "clamped" true (Sq.clamp_lead q ~v:0. ~max_lead:4. ~weight:1.);
+  check_bool "clamped" true (Sq.clamp_lead q ~v:0.);
   check_float "start clamped" 4. (Sq.head_start q);
   check_float "finish follows" 5. (Sq.head_finish q);
-  check_bool "no further clamp" false (Sq.clamp_lead q ~v:0. ~max_lead:4. ~weight:1.)
+  check_bool "no further clamp" false (Sq.clamp_lead q ~v:0.)
 
 let test_slot_queue_clamp_updates_chain () =
-  let q = Sq.create ~weight:1. in
+  let q = Sq.create ~weight:1. ~max_lead:2. in
   Sq.add q ~v:10.;
-  ignore (Sq.clamp_lead q ~v:0. ~max_lead:2. ~weight:1.);
+  ignore (Sq.clamp_lead q ~v:0.);
   (* next arrival chains from the clamped finish (3), not the old 11 *)
   Sq.add q ~v:0.;
   check_float "chains from clamped finish" 3. (fst (List.nth (Sq.to_list q) 1))

@@ -174,7 +174,7 @@ let prop_slot_queue_trim =
   QCheck.Test.make ~name:"slot queue trim_lagging matches list splice" ~count:300
     QCheck.(quad (1 -- 40) (0 -- 20) small_int small_int)
     (fun (n, popped, lag_pick, keep_pick) ->
-      let q = Sq.create ~weight:1. in
+      let q = Sq.create ~weight:1. ~max_lead:4. in
       for _ = 1 to popped do
         Sq.add q ~v:0.;
         Sq.pop_front q
@@ -193,6 +193,174 @@ let prop_slot_queue_trim =
       deleted = lagging - keep
       && Sq.to_list q = expect
       && Sq.length q = List.length expect)
+
+(* The per-slot semantics the run form must keep, bit for bit: two floats
+   per slot, S = max(v, chain) and F = S +. 1/r, a [pop_back] that leaves
+   the chain alone, a lag trim that splices out the middle of the lagging
+   prefix, and a lead clamp that rewrites the head's two tags. *)
+type sq_model = { slots : (float * float) list; chain : float }
+
+let sq_model_add ~weight m ~v =
+  let start = Float.max v m.chain in
+  let finish = start +. (1. /. weight) in
+  { slots = m.slots @ [ (start, finish) ]; chain = finish }
+
+let sq_model_trim m ~v ~max_lagging =
+  let lagging = List.length (List.filter (fun (_, f) -> f < v) m.slots) in
+  let deleted = Int.max 0 (lagging - max_lagging) in
+  let slots =
+    List.filteri (fun i _ -> i < max_lagging || i >= lagging) m.slots
+  in
+  (deleted, { m with slots })
+
+let sq_model_clamp ~weight ~max_lead m ~v =
+  match m.slots with
+  | (start, _) :: rest when start > v +. (max_lead /. weight) ->
+      let limit = v +. (max_lead /. weight) in
+      let head = (limit, limit +. (1. /. weight)) in
+      let chain = match rest with [] -> snd head | _ -> m.chain in
+      (true, { slots = head :: rest; chain })
+  | _ -> (false, m)
+
+let same_tags a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (s, f) (s', f') ->
+         Int64.equal (Int64.bits_of_float s) (Int64.bits_of_float s')
+         && Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float f'))
+       a b
+
+(* Ops, from [(op, a, b)]: 0-3 add with v at or below the chain, 4 add with
+   v above it, 5 pop_front, 6 pop_back, 7 trim_lagging with v just above
+   the finish of slot [a] and a bound of [b], 8 clamp_lead with v below the
+   head's start, 9 add at v = 0.  The weights 3 and 0.7 make 1/r
+   non-dyadic, so a tag computed in closed form (s0 +. k *. 1/r) instead of
+   by the additions [add] performed reads different bits. *)
+let prop_slot_queue_model =
+  QCheck.Test.make ~name:"slot queue runs match per-slot tags bit for bit"
+    ~count:500
+    QCheck.(
+      pair (pair bool (0 -- 2))
+        (list_of_size Gen.(0 -- 120) (triple (0 -- 9) small_nat small_nat)))
+    (fun ((heavy, lead_pick), ops) ->
+      let weight = if heavy then 3. else 0.7 in
+      let max_lead = [| 0.5; 1.5; 4. |].(lead_pick) in
+      let q = Sq.create ~weight ~max_lead in
+      let step (m : sq_model) (op, a, b) =
+        let n = List.length m.slots in
+        match op with
+        | 0 | 1 | 2 | 3 ->
+            let v = m.chain -. (float_of_int (a mod 4) *. 0.37) in
+            Sq.add q ~v;
+            sq_model_add ~weight m ~v
+        | 4 ->
+            let v = m.chain +. (float_of_int (1 + (a mod 5)) *. 0.29) in
+            Sq.add q ~v;
+            sq_model_add ~weight m ~v
+        | 5 ->
+            if n = 0 then m
+            else begin
+              Sq.pop_front q;
+              { m with slots = List.tl m.slots }
+            end
+        | 6 ->
+            if n = 0 then m
+            else begin
+              Sq.pop_back q;
+              { m with slots = List.filteri (fun i _ -> i < n - 1) m.slots }
+            end
+        | 7 ->
+            let v =
+              if n = 0 then 1.
+              else snd (List.nth m.slots (a mod n)) +. 1e-9
+            in
+            let max_lagging = b mod 6 in
+            let got = Sq.trim_lagging q ~v ~max_lagging in
+            let expect, m = sq_model_trim m ~v ~max_lagging in
+            if got <> expect then
+              QCheck.Test.fail_reportf "trim deleted %d, model %d" got expect;
+            m
+        | 8 ->
+            let v =
+              match m.slots with
+              | [] -> 0.
+              | (s, _) :: _ -> s -. (float_of_int (a mod 8) *. 0.41)
+            in
+            let got = Sq.clamp_lead q ~v in
+            let expect, m = sq_model_clamp ~weight ~max_lead m ~v in
+            if got <> expect then
+              QCheck.Test.fail_reportf "clamp %b, model %b" got expect;
+            m
+        | _ ->
+            Sq.add q ~v:0.;
+            sq_model_add ~weight m ~v:0.
+      in
+      let agrees (m : sq_model) =
+        Sq.length q = List.length m.slots
+        && same_tags (Sq.to_list q) m.slots
+        &&
+        match m.slots with
+        | [] -> Sq.is_empty q
+        | head :: _ -> same_tags [ (Sq.head_start q, Sq.head_finish q) ] [ head ]
+      in
+      let _ : sq_model =
+        List.fold_left
+          (fun m op ->
+            let m = step m op in
+            if not (agrees m) then
+              QCheck.Test.fail_reportf "diverged after op %d: %d slots vs %d"
+                (let o, _, _ = op in o) (Sq.length q) (List.length m.slots);
+            m)
+          { slots = []; chain = 0. } ops
+      in
+      true)
+
+(* [capacity] counts ring entries and only grows, so each documented split
+   shows as the step to the next power of two. *)
+let test_slot_queue_runs () =
+  let tags = Alcotest.(list (pair (float 0.) (float 0.))) in
+  let q = Sq.create ~weight:1. ~max_lead:4. in
+  check_int "no storage before the first add" 0 (Sq.capacity q);
+  for _ = 1 to 8192 do
+    Sq.add q ~v:0.
+  done;
+  check_int "8 192 slots" 8192 (Sq.length q);
+  check_int "a backlogged flow's slots share one entry" 1 (Sq.capacity q);
+  Sq.pop_back q;
+  Sq.add q ~v:0.;
+  check_int "an add after pop_back opens an entry" 2 (Sq.capacity q);
+  Sq.add q ~v:0.;
+  check_int "the next chained add joins it" 2 (Sq.capacity q);
+  Alcotest.check tags "the new entry chains from the popped slot's finish"
+    [ (8190., 8191.); (8192., 8193.); (8193., 8194.) ]
+    (List.filteri (fun i _ -> i >= 8190) (Sq.to_list q));
+  (* One entry of eight slots, starts 10 .. 17. *)
+  let q = Sq.create ~weight:1. ~max_lead:4. in
+  Sq.add q ~v:10.;
+  for _ = 1 to 7 do
+    Sq.add q ~v:0.
+  done;
+  check_int "eight chained slots, one entry" 1 (Sq.capacity q);
+  (* Finishes 11 .. 15 lag behind v = 15.5; a bound of 2 deletes the slots
+     starting at 12, 13 and 14 from the middle of the entry. *)
+  check_int "trim deletes three" 3 (Sq.trim_lagging q ~v:15.5 ~max_lagging:2);
+  check_int "a hole inside an entry splits it in two" 2 (Sq.capacity q);
+  Alcotest.check tags "the kept slots"
+    [ (10., 11.); (11., 12.); (15., 16.); (16., 17.); (17., 18.) ]
+    (Sq.to_list q);
+  check_bool "clamped" true (Sq.clamp_lead q ~v:0.);
+  check_int "the clamped head splits off its entry" 4 (Sq.capacity q);
+  Alcotest.check tags "the rest starts where the head finished"
+    [ (4., 5.); (11., 12.); (15., 16.); (16., 17.); (17., 18.) ]
+    (Sq.to_list q);
+  (* A trim through to the tail: the next add still chains from 18 but
+     opens an entry of its own. *)
+  check_int "trim to the tail" 4 (Sq.trim_lagging q ~v:100. ~max_lagging:1);
+  Sq.add q ~v:0.;
+  Alcotest.check tags "after a trim that removed the tail"
+    [ (4., 5.); (18., 19.) ]
+    (Sq.to_list q);
+  check_int "no growth: two entries" 4 (Sq.capacity q)
 
 let test_ring_reads_and_growth () =
   let r = Ring.create () in
@@ -808,11 +976,12 @@ let make_sched name ~n_flows =
   let flows = Array.init n_flows (fun id -> Core.Params.flow ~id ~weight:1. ()) in
   (Core.Registry.get name).Core.Registry.make ~credit_limit:4 ~debit_limit:4 flows
 
-(* A packet of its own slot costs the flow's ring one three-int entry
-   (IWFQ adds its two slot tags); doubling can leave at most as much again
-   unused.  A boxed packet record per queued packet costs 9 or more words.
-   A burst of 8 packets per slot shares one entry, so the ring grows per
-   slot, not per packet; IWFQ still keeps one tag pair per packet. *)
+(* A packet of its own slot costs the flow's ring one three-int entry;
+   doubling can leave at most as much again unused.  A boxed packet record
+   per queued packet costs 9 or more words.  A burst of 8 packets per slot
+   shares one entry, so the ring grows per slot, not per packet.  IWFQ's
+   slot tags chain while the flow stays backlogged, so they share one
+   two-float entry in both cases. *)
 let test_store_footprint () =
   let n = 8192 in
   List.iter
@@ -838,7 +1007,7 @@ let test_store_footprint () =
         store_scheds)
     [
       (1, fun _ -> 6);
-      (8, fun name -> if String.equal name "IWFQ-P" then 5 else 1);
+      (8, fun _ -> 1);
     ]
 
 (* Attempts belong to the packet: copied in by [enqueue], read back at the
@@ -977,6 +1146,7 @@ let test_select_words () =
           (Core.Registry.table1 ()),
         6. );
       ([ "CIF-Q-P" ], 10.);
+      ([ "IWFQ-I"; "IWFQ-P" ], 8.);
     ]
 
 let suite =
@@ -986,6 +1156,8 @@ let suite =
     Alcotest.test_case "deque get/peek/clear" `Quick test_deque_get_and_peeks;
     QCheck_alcotest.to_alcotest prop_ring_model;
     QCheck_alcotest.to_alcotest prop_slot_queue_trim;
+    QCheck_alcotest.to_alcotest prop_slot_queue_model;
+    Alcotest.test_case "slot queue runs" `Quick test_slot_queue_runs;
     Alcotest.test_case "packet ring reads/growth" `Quick test_ring_reads_and_growth;
     Alcotest.test_case "packet ring runs" `Quick test_ring_runs;
     Alcotest.test_case "packet store footprint" `Quick test_store_footprint;

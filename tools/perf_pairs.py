@@ -2,7 +2,7 @@
 """Compare two checkouts on the benchmark with interleaved pairs.
 
     python3 tools/perf_pairs.py --parent DIR --change DIR [--pairs N] \\
-        -- PERFBENCH_ARGS...
+        [--claim METRIC] -- PERFBENCH_ARGS...
 
 Runs `python3 perfbench/run.py PERFBENCH_ARGS` once in each checkout per
 pair, alternating which side goes first, and reads each run's result JSON
@@ -19,13 +19,19 @@ column):
 It also sets the change's median, relative to the parent's, beside the
 metric's declared bound: "within", "beyond", or "unresolved" when either
 side's quartile distance exceeds the bound (relative to its median) and
-the change's runs do not all read better than all the parent's.  Exit
-status: 1 if any run exits non-zero or fails one of its output checks; 2
-on a usage error; 0 otherwise.  Standard library only.
+the change's runs do not all read better than all the parent's.
+
+`--claim METRIC` names the end-to-end metric the change claims to improve
+and turns the comparison into a gate: it also fails when that metric's
+rule reads "no gain", or when any end-to-end metric's bound reads
+"beyond".  Exit status: 1 if any run exits non-zero or fails one of its
+output checks, or if a claim fails its gate; 2 on a usage error; 0
+otherwise.  Standard library only.
 
 Example, the acceptance run for a paper_grid claim:
 
     python3 tools/perf_pairs.py --parent ../parent --change . --pairs 10 \\
+        --claim heap_peak_mb \\
         -- --workload paper_grid --seed 42 --seconds 30 --trace 0
 """
 
@@ -52,11 +58,17 @@ def parse_args(argv):
     p.add_argument("--parent", required=True, help="parent checkout")
     p.add_argument("--change", required=True, help="change checkout")
     p.add_argument("--pairs", type=int, default=10, help="pairs to run (default 10)")
+    p.add_argument("--claim", metavar="METRIC",
+                   help="end-to-end metric the change claims to improve: exit 1 "
+                        "unless it passes the rule and no metric is beyond its bound")
     args = p.parse_args(own)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     if not bench:
         p.error("give the perfbench arguments after --")
+    names = [m["name"] for m in end_to_end(args.change)]
+    if args.claim is not None and args.claim not in names:
+        p.error("--claim must name an end-to-end metric: %s" % ", ".join(names))
     return args, bench
 
 
@@ -98,7 +110,7 @@ def summary(xs):
 
 
 def judge(metric, parent, change):
-    """Summary row: medians, quartiles, wins, rule and bound verdicts."""
+    """Summary row, rule verdict (True for a gain) and bound verdict."""
     lower = metric["better"] == "lower"
     wins = sum(1 for p, c in zip(parent, change) if (c < p if lower else c > p))
     pm, cm = statistics.median(parent), statistics.median(change)
@@ -118,9 +130,10 @@ def judge(metric, parent, change):
     else:
         verdict = "within"
     bound = "%s bound %.2f" % (verdict, metric["bound"])
-    return ROW % (metric["name"], metric["unit"], summary(parent), summary(change),
-                  "%d/%d" % (wins, len(parent)), "%+.1f%%" % (100 * rel),
-                  "gain" if passes else "no gain", bound)
+    row = ROW % (metric["name"], metric["unit"], summary(parent), summary(change),
+                 "%d/%d" % (wins, len(parent)), "%+.1f%%" % (100 * rel),
+                 "gain" if passes else "no gain", bound)
+    return row, passes, verdict
 
 
 def main(argv):
@@ -143,17 +156,25 @@ def main(argv):
             for side in order:
                 values[side].append(got[side])
         print("perf_pairs: pair %d done (%s first)" % (i + 1, order[0]), flush=True)
+    gate = []
     if values["parent"]:
         print(ROW % ("metric", "unit", "parent median [q1, q3]",
                      "change median [q1, q3]", "wins", "shift", "rule", "bound"))
         for m in metrics:
             parent = [v[m["name"]] for v in values["parent"]]
             change = [v[m["name"]] for v in values["change"]]
-            print(judge(m, parent, change))
-    for f in failures:
+            row, passes, verdict = judge(m, parent, change)
+            print(row)
+            if args.claim == m["name"]:
+                print("perf_pairs: claim %s: %s" % (m["name"], "gain" if passes else "no gain"))
+                if not passes:
+                    gate.append("claim %s misses the acceptance rule" % m["name"])
+            if args.claim is not None and verdict == "beyond":
+                gate.append("%s is beyond its bound" % m["name"])
+    for f in failures + gate:
         print("perf_pairs: FAIL " + f)
-    print("perf_pairs: %s" % ("FAILED" if failures else "ok"))
-    return 1 if failures else 0
+    print("perf_pairs: %s" % ("FAILED" if failures or gate else "ok"))
+    return 1 if failures or gate else 0
 
 
 if __name__ == "__main__":
