@@ -40,16 +40,11 @@ bench:
 perf:
 	dune exec bench/main.exe -- --macro-only --seed 42
 
-# Regenerate the golden CSVs in a scratch dir and require byte-identity
-# with the committed ones (the perf work must never change output).
+# Regenerate the golden CSVs on both engines and require byte-identity
+# with the committed ones (the `golden` alias in test/dune; the perf work
+# must never change output), then check the committed checksums.
 golden-check:
-	@tmp=$$(mktemp -d); \
-	for e in 1 2 3 4 5 6; do \
-	  dune exec bin/wfs_sim.exe -- -e $$e -a all -n 20000 -s 42 --csv \
-	    > "$$tmp/example$$e.csv" || exit 1; \
-	  cmp "$$tmp/example$$e.csv" "test/golden/example$$e.csv" || exit 1; \
-	done; \
-	rm -rf "$$tmp"; \
+	dune build @golden
 	cd test/golden && sha256sum -c SHA256SUMS
 
 # Observability demo: a short Example-1 run streaming a wfs-trace/1

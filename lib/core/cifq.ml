@@ -197,12 +197,9 @@ let[@hot] select t ~slot:_ ~predicted_good =
 
 (* Keep the backlog index and heap in step with queue emptiness; a flow's
    virtual time is frozen while it is absent and re-indexed on return. *)
-let index_if_became_backlogged t flow =
-  let fs = t.flows.(flow) in
-  if Packet.Ring.length fs.packets = 1 then begin
-    Flow_set.add t.backlog flow;
-    Flow_heap.set t.heap ~flow ~tag:fs.v
-  end
+let index_backlogged t flow =
+  Flow_set.add t.backlog flow;
+  Flow_heap.set t.heap ~flow ~tag:t.flows.(flow).v
 
 let deindex_if_empty t flow =
   if not (backlogged t.flows.(flow)) then begin
@@ -211,8 +208,16 @@ let deindex_if_empty t flow =
   end
 
 let enqueue t ~slot:_ (pkt : Packet.t) =
-  Packet.Ring.push t.flows.(pkt.flow).packets pkt;
-  index_if_became_backlogged t pkt.flow
+  let q = t.flows.(pkt.flow).packets in
+  let was_empty = Packet.Ring.is_empty q in
+  Packet.Ring.push q pkt;
+  if was_empty then index_backlogged t pkt.flow
+
+let arrive t ~slot ~flow ~seq ~count =
+  let q = t.flows.(flow).packets in
+  let was_empty = Packet.Ring.is_empty q in
+  Packet.Ring.push_run q ~seq ~arrival:slot ~count;
+  if was_empty then index_backlogged t flow
 
 let pop t ~flow ~who =
   let q = t.flows.(flow).packets in
@@ -233,6 +238,7 @@ let instance t =
   {
     Wireless_sched.name = "CIF-Q";
     enqueue = (fun ~slot pkt -> enqueue t ~slot pkt);
+    arrive = (fun ~slot ~flow ~seq ~count -> arrive t ~slot ~flow ~seq ~count);
     select = (fun ~slot ~predicted_good -> select t ~slot ~predicted_good);
     packets = (fun flow -> t.flows.(flow).packets);
     complete = (fun ~flow -> complete t ~flow);

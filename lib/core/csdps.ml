@@ -45,8 +45,15 @@ let is_marked t ~flow ~now = now < t.marked_until.(flow)
 
 let enqueue t ~slot:_ (pkt : Packet.t) =
   let q = t.queues.(pkt.flow) in
+  let was_empty = Packet.Ring.is_empty q in
   Packet.Ring.push q pkt;
-  if Packet.Ring.length q = 1 then Flow_set.add t.backlog pkt.flow
+  if was_empty then Flow_set.add t.backlog pkt.flow
+
+let arrive t ~slot ~flow ~seq ~count =
+  let q = t.queues.(flow) in
+  let was_empty = Packet.Ring.is_empty q in
+  Packet.Ring.push_run q ~seq ~arrival:slot ~count;
+  if was_empty then Flow_set.add t.backlog flow
 
 let n_flows t = Array.length t.weights
 
@@ -156,6 +163,7 @@ let instance t =
   {
     Wireless_sched.name = "CSDPS";
     enqueue = (fun ~slot pkt -> enqueue t ~slot pkt);
+    arrive = (fun ~slot ~flow ~seq ~count -> arrive t ~slot ~flow ~seq ~count);
     select = (fun ~slot ~predicted_good -> select t ~slot ~predicted_good);
     packets = (fun flow -> t.queues.(flow));
     complete = (fun ~flow -> complete t ~flow);

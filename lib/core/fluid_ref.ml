@@ -26,9 +26,15 @@ let create ?(capacity = 1.0) ~weights () =
 
 let n_flows t = Array.length t.weights
 
+(* One [+. 1.] per packet: a fractional backlog plus [float_of_int count]
+   can round differently from [count] single arrivals. *)
 let add_arrivals t ~flow ~count =
   if count < 0 then Wfs_util.Error.invalid "Fluid_ref.add_arrivals" "negative count";
-  t.queue.(flow) <- t.queue.(flow) +. float_of_int count
+  let q = ref t.queue.(flow) in
+  for _ = 1 to count do
+    q := !q +. 1.
+  done;
+  t.queue.(flow) <- !q
 
 let virtual_time t = t.v
 

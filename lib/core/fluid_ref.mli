@@ -21,7 +21,8 @@ val n_flows : t -> int
 
 val add_arrivals : t -> flow:int -> count:int -> unit
 (** Register [count] packet arrivals at the current instant (the start of
-    the next un-stepped slot). *)
+    the next un-stepped slot): one [+. 1.] on the flow's backlog per
+    packet, so a batch leaves the same bits as [count] single arrivals. *)
 
 val virtual_time : t -> float
 (** [v] at the current instant. *)

@@ -107,13 +107,26 @@ let deindex_if_empty t i =
     Flow_heap.remove t.heap ~flow:i
   end
 
+(* The head slot only changes when the queue was empty. *)
 let enqueue t ~slot:_ (pkt : Wfs_traffic.Packet.t) =
   let fs = t.flows.(pkt.flow) in
+  let was_empty = Ring.is_empty fs.packets in
   Fluid_ref.add_arrivals t.fluid ~flow:pkt.flow ~count:1;
   Slot_queue.add fs.slots ~v:(Fluid_ref.virtual_time t.fluid);
   Ring.push fs.packets pkt;
-  (* The head slot only changes when the queue was empty. *)
-  if Ring.length fs.packets = 1 then refresh_flow t pkt.flow
+  if was_empty then refresh_flow t pkt.flow
+
+(* [count] fresh packets at once: every one is stamped at the same virtual
+   time, so the fluid backlog, the slot tags and the ring each take the
+   batch in one call, by the same per-packet additions as [count]
+   [enqueue]s. *)
+let arrive t ~slot ~flow ~seq ~count =
+  let fs = t.flows.(flow) in
+  let was_empty = Ring.is_empty fs.packets in
+  Fluid_ref.add_arrivals t.fluid ~flow ~count;
+  Slot_queue.add_run fs.slots ~v:(Fluid_ref.virtual_time t.fluid) ~count;
+  Ring.push_run fs.packets ~seq ~arrival:slot ~count;
+  if was_empty then refresh_flow t flow
 
 (* Lag and lead bounds for one flow (Section 4.1, steps 4a-4b).  The lag
    caps are >= 1, so a trim never deletes the head slot and never empties
@@ -233,6 +246,7 @@ let instance t =
   {
     Wireless_sched.name = "IWFQ";
     enqueue = (fun ~slot pkt -> enqueue t ~slot pkt);
+    arrive = (fun ~slot ~flow ~seq ~count -> arrive t ~slot ~flow ~seq ~count);
     select = (fun ~slot ~predicted_good -> select t ~slot ~predicted_good);
     packets = (fun flow -> t.flows.(flow).packets);
     complete = (fun ~flow -> complete t ~flow);

@@ -30,7 +30,9 @@ let create ?(histograms = false) ~n_flows () =
   }
 
 let acc t flow = t.flows.(flow)
-let on_arrival t ~flow = (acc t flow).arrivals <- (acc t flow).arrivals + 1
+
+let on_arrivals t ~flow ~count =
+  (acc t flow).arrivals <- (acc t flow).arrivals + count
 
 let on_deliver t ~flow ~delay =
   let a = acc t flow in
@@ -41,6 +43,10 @@ let on_deliver t ~flow ~delay =
   | None -> ()
 
 let on_drop t ~flow = (acc t flow).dropped <- (acc t flow).dropped + 1
+
+let on_drops t ~flow ~count =
+  (acc t flow).dropped <- (acc t flow).dropped + count
+
 let on_idle_slot t = t.idle <- t.idle + 1
 
 let on_idle_slots t ~count =

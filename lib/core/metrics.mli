@@ -12,9 +12,15 @@ val create : ?histograms:bool -> n_flows:int -> unit -> t
 (** With [histograms] (default off, saving memory on long runs) per-flow
     delay histograms are kept and {!delay_percentile} becomes available. *)
 
-val on_arrival : t -> flow:int -> unit
+val on_arrivals : t -> flow:int -> count:int -> unit
+(** [count] packets arrived for [flow], admitted or not. *)
+
 val on_deliver : t -> flow:int -> delay:int -> unit
 val on_drop : t -> flow:int -> unit
+
+val on_drops : t -> flow:int -> count:int -> unit
+(** [count] drops at once; equals [count] calls to {!on_drop}. *)
+
 val on_idle_slot : t -> unit
 
 val on_idle_slots : t -> count:int -> unit

@@ -1,4 +1,3 @@
-module Packet = Wfs_traffic.Packet
 module Ring = Wfs_traffic.Packet.Ring
 module Arrival = Wfs_traffic.Arrival
 module Channel = Wfs_channel.Channel
@@ -267,6 +266,28 @@ module Session = struct
   let next_slot t = t.next
   let metrics t = t.metrics
 
+  (* Source [i]'s [count >= 1] packets of [slot]: the prefix that fits the
+     flow's buffer enters the scheduler in one [arrive], the rest is
+     dropped at the door.  A traced run still records each packet's
+     Arrival, and Drop after it, in seq order. *)
+  let[@hot] admit t ~slot i count =
+    let sched = t.sched in
+    let seq = t.seqs.(i) in
+    let room = t.buffers.(i) - sched.queue_length i in
+    let admitted = if count <= room then count else Int.max 0 room in
+    Metrics.on_arrivals t.metrics ~flow:i ~count;
+    if admitted > 0 then sched.arrive ~slot ~flow:i ~seq ~count:admitted;
+    if admitted < count then
+      Metrics.on_drops t.metrics ~flow:i ~count:(count - admitted);
+    t.seqs.(i) <- seq + count;
+    if t.tracing then
+      for k = 0 to count - 1 do
+        t.record ~slot (Tracelog.Arrival { flow = i; seq = seq + k });
+        if k >= admitted then
+          t.record ~slot
+            (Tracelog.Drop { flow = i; seq = seq + k; reason = "buffer" })
+      done
+
   (* Reference engine: every slot of [next, until) runs the full 7-phase
      loop.  This is the executable spec the fast path is checked against
      (differential lockstep, test_perf_opt) and the path every
@@ -276,7 +297,6 @@ module Session = struct
     let sched = t.sched in
     let n = Array.length cfg.flows in
     let metrics = t.metrics in
-    let seqs = t.seqs in
     let tracing = t.tracing in
     let record = t.record in
     let monitor = t.monitor in
@@ -292,7 +312,6 @@ module Session = struct
     let delay_bounds = t.delay_bounds in
     let delay_flows = t.delay_flows in
     let retx_limits = t.retx_limits in
-    let buffers = t.buffers in
     let first_slot = t.first_slot in
     (for slot = t.next to until - 1 do
       cur_slot := slot;
@@ -301,21 +320,7 @@ module Session = struct
       for li = 0 to Array.length live_sources - 1 do
         let i = live_sources.(li) in
         let count = Arrival.arrivals cfg.flows.(i).source ~slot in
-        for _ = 1 to count do
-          let pkt = Packet.make ~flow:i ~seq:seqs.(i) ~arrival:slot () in
-          seqs.(i) <- seqs.(i) + 1;
-          Metrics.on_arrival metrics ~flow:i;
-          if tracing then
-            record ~slot (Tracelog.Arrival { flow = i; seq = pkt.Packet.seq });
-          if sched.queue_length i >= buffers.(i) then begin
-            (* Buffer overflow: the packet never enters the system. *)
-            Metrics.on_drop metrics ~flow:i;
-            if tracing then
-              record ~slot
-                (Tracelog.Drop { flow = i; seq = pkt.Packet.seq; reason = "buffer" })
-          end
-          else sched.enqueue ~slot pkt
-        done
+        if count > 0 then admit t ~slot i count
       done;
       if profiling then phase_end phase_arrivals;
       (* 2–3. Channel states and predictions. *)
@@ -426,24 +431,14 @@ module Session = struct
     let flows = cfg.flows in
     let sched = t.sched in
     let metrics = t.metrics in
-    let seqs = t.seqs in
     let states = t.states in
-    let buffers = t.buffers in
     let cal = t.cal in
     t.cur_slot := s;
     (* 1. Arrivals: exactly the sources whose next event lands on [s],
        popped in ascending flow id — the reference's scan order. *)
     while Event_cal.min_key cal = s do
       let i = Event_cal.pop cal in
-      let count = Arrival.pending_count flows.(i).source in
-      for _ = 1 to count do
-        let pkt = Packet.make ~flow:i ~seq:seqs.(i) ~arrival:s () in
-        seqs.(i) <- seqs.(i) + 1;
-        Metrics.on_arrival metrics ~flow:i;
-        if sched.queue_length i >= buffers.(i) then
-          Metrics.on_drop metrics ~flow:i
-        else sched.enqueue ~slot:s pkt
-      done;
+      admit t ~slot:s i (Arrival.pending_count flows.(i).source);
       if t.src_scanned.(i) < until then requery_source t ~until i
     done;
     (* 2-3. Channels: statics once per session, dynamics caught up from

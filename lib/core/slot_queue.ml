@@ -54,24 +54,35 @@ let grow t =
   t.capacity <- capacity;
   t.first <- 0
 
-let add t ~v =
+(* [count] slots arriving together at [v]: the first starts at
+   [max v chain], each later one at the finish before it, so all of them
+   share the first one's entry; the chain walks the [count] finishes by
+   the same additions [count] calls of [add] would make. *)
+let add_run t ~v ~count:n =
+  if n < 1 then Wfs_util.Error.invalid "Slot_queue.add_run" "count < 1";
   let start = Float.max v t.chain.(0) in
   (* With [open_tail], [v <= chain] means the new slot starts at the tail
      slot's finish, so it joins the tail entry. *)
   if t.len > 0 && t.open_tail && v <= t.chain.(0) then begin
     let c = cell t (t.entries - 1) in
-    set_count t c (count t c + 1)
+    set_count t c (count t c + n)
   end
   else begin
     if t.entries = t.capacity then grow t;
     let c = cell t t.entries in
     t.tags.(c) <- start;
-    set_count t c 1;
+    set_count t c n;
     t.entries <- t.entries + 1
   end;
-  t.chain.(0) <- start +. t.step;
+  let chain = ref start in
+  for _ = 1 to n do
+    chain := !chain +. t.step
+  done;
+  t.chain.(0) <- !chain;
   t.open_tail <- true;
-  t.len <- t.len + 1
+  t.len <- t.len + n
+
+let add t ~v = add_run t ~v ~count:1
 
 let head_cell who t =
   if t.len = 0 then Wfs_util.Error.empty_queue who;

@@ -24,9 +24,10 @@
     and no tag is computed in closed form, so every tag, comparison and
     selection is bit-identical to a queue that stored two floats per slot.
 
-    - {!add} extends the tail entry when the new slot starts at the chain
-      and the chain is still the tail slot's finish; after a {!pop_back},
-      or a {!trim_lagging} that removed the tail, it opens a new entry.
+    - {!add} and {!add_run} extend the tail entry when the new slot
+      starts at the chain and the chain is still the tail slot's finish;
+      after a {!pop_back}, or a {!trim_lagging} that removed the tail,
+      they open a new entry.
     - {!pop_front} walks the head entry's start forward by one slot.
     - {!trim_lagging} and {!clamp_lead} split entries, walking the same
       additions to each split point. *)
@@ -51,6 +52,14 @@ val capacity : t -> int
 val add : t -> v:float -> unit
 (** Append a slot for a packet arriving at virtual time [v]:
     [S = max(v, F_prev)], [F = S + 1/r].  Tags chain per equation (2)–(3). *)
+
+val add_run : t -> v:float -> count:int -> unit
+(** [count >= 1] slots for packets arriving together at virtual time [v]:
+    the same queue, tags and chain as [count] calls of {!add} at [v].
+    Every slot after the first starts at the finish before it, so the run
+    extends one entry, and the chain advances by the same [count]
+    additions of [1/r], not by a product.
+    @raise Invalid_argument when [count < 1]. *)
 
 val head_start : t -> float
 val head_finish : t -> float

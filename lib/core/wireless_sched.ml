@@ -32,6 +32,7 @@ type quiescent = {
 type instance = {
   name : string;
   enqueue : slot:int -> Wfs_traffic.Packet.t -> unit;
+  arrive : slot:int -> flow:int -> seq:int -> count:int -> unit;
   select : slot:int -> predicted_good:(int -> bool) -> int option;
   packets : int -> Wfs_traffic.Packet.Ring.t;
   complete : flow:int -> unit;

@@ -8,7 +8,8 @@
     they can make backlog-aware decisions.
 
     {b Packet store.}  Each flow's queue is a {!Wfs_traffic.Packet.Ring}:
-    [enqueue] copies the packet's seq, arrival and attempts into it, and
+    [arrive] appends a slot's batch of fresh packets to it as one run,
+    [enqueue] copies a packet's seq, arrival and attempts into it, and
     the driver reads the head through [packets] without allocating.  The
     driver owns the attempt count: on a failed transmission it calls
     {!Wfs_traffic.Packet.Ring.bump_attempts} on the flow's ring before
@@ -125,16 +126,27 @@ type quiescent = {
 type instance = {
   name : string;
   enqueue : slot:int -> Wfs_traffic.Packet.t -> unit;
-      (** A packet arrived at the start of [slot]. *)
+      (** A packet arrived at the start of [slot].  For packets that carry
+          attempts (a handoff re-queueing a backlog) and for tests; fresh
+          arrivals go through [arrive]. *)
+  arrive : slot:int -> flow:int -> seq:int -> count:int -> unit;
+      (** [arrive ~slot ~flow ~seq ~count] adds [count >= 1] fresh packets
+          to [flow] at the start of [slot]: seqs [seq .. seq + count - 1],
+          arrival [slot], no attempts.  It leaves the same state as
+          [count] calls of [enqueue] with those packets, in order, but
+          costs one call, no packet records, and one
+          {!Wfs_traffic.Packet.Ring.push_run}.  The drivers call it once
+          per source and slot, with the prefix of the slot's batch that
+          fits the flow's buffer. *)
   select : slot:int -> predicted_good:(int -> bool) -> int option;
       (** Flow chosen to transmit in [slot], or [None] to idle.  Called
-          exactly once per slot, after all enqueues for that slot. *)
+          exactly once per slot, after all arrivals for that slot. *)
   packets : int -> Wfs_traffic.Packet.Ring.t;
       (** The flow's packet queue, head first.  Drivers read the head's
           seq, arrival and attempts from it and may only mutate it through
           {!Wfs_traffic.Packet.Ring.bump_attempts}; pushes and pops go
-          through [enqueue], [complete] and [drop_head], which keep the
-          scheduler's own indexes in step. *)
+          through [arrive], [enqueue], [complete] and [drop_head], which
+          keep the scheduler's own indexes in step. *)
   complete : flow:int -> unit;
       (** The selected flow's head packet was delivered: consume it. *)
   fail : flow:int -> unit;

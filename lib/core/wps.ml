@@ -375,8 +375,15 @@ let select t ~slot ~predicted_good = pick t ~slot ~predicted_good ~rebuilt:false
 
 let enqueue t ~slot:_ (pkt : Packet.t) =
   let q = t.flows.(pkt.flow).packets in
+  let was_empty = Packet.Ring.is_empty q in
   Packet.Ring.push q pkt;
-  if Packet.Ring.length q = 1 then Flow_set.add t.backlog pkt.flow
+  if was_empty then Flow_set.add t.backlog pkt.flow
+
+let arrive t ~slot ~flow ~seq ~count =
+  let q = t.flows.(flow).packets in
+  let was_empty = Packet.Ring.is_empty q in
+  Packet.Ring.push_run q ~seq ~arrival:slot ~count;
+  if was_empty then Flow_set.add t.backlog flow
 
 (* Pop the head packet, keeping the backlog index in step. *)
 let pop t ~flow ~who =
@@ -402,6 +409,7 @@ let instance t =
   {
     Wireless_sched.name = name_of_params t.params;
     enqueue = (fun ~slot pkt -> enqueue t ~slot pkt);
+    arrive = (fun ~slot ~flow ~seq ~count -> arrive t ~slot ~flow ~seq ~count);
     select = (fun ~slot ~predicted_good -> select t ~slot ~predicted_good);
     packets = (fun flow -> t.flows.(flow).packets);
     complete = (fun ~flow -> complete t ~flow);

@@ -167,10 +167,10 @@ let run cfg =
     Array.iteri
       (fun i mf ->
         let count = Wfs_traffic.Arrival.arrivals mf.spec.source ~slot in
+        Core.Metrics.on_arrivals metrics ~flow:i ~count;
         for _ = 1 to count do
           let pkt = Packet.make ~flow:i ~seq:seqs.(i) ~arrival:slot () in
           seqs.(i) <- seqs.(i) + 1;
-          Core.Metrics.on_arrival metrics ~flow:i;
           if is_uplink mf then Queue.push pkt mf.unknown
           else sched.enqueue ~slot pkt
         done)

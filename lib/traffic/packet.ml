@@ -58,25 +58,31 @@ module Ring = struct
 
   let cell t k = stride * ((t.first + k) land (t.capacity - 1))
 
-  let push t (p : packet) =
+  let append t ~seq ~arrival ~tail =
+    if t.entries = t.capacity then grow t;
+    let c = cell t t.entries in
+    t.cells.(c) <- seq;
+    t.cells.(c + 1) <- arrival;
+    t.cells.(c + 2) <- tail;
+    t.entries <- t.entries + 1
+
+  (* The tail entry takes the run when it is not a single packet with
+     attempts, shares the arrival slot and the seqs follow on. *)
+  let push_run t ~seq ~arrival ~count =
+    if count < 1 then Wfs_util.Error.invalid "Packet.Ring.push_run" "count < 1";
     let c = if t.entries = 0 then -1 else cell t (t.entries - 1) in
     let tail = if c < 0 then 1 else t.cells.(c + 2) in
-    (* The tail entry takes the packet when both have no attempts, share
-       the arrival slot and the seqs follow on. *)
-    if
-      tail <= 0 && p.attempts = 0
-      && t.cells.(c + 1) = p.arrival
-      && t.cells.(c) - tail + 1 = p.seq
-    then t.cells.(c + 2) <- tail - 1
+    if tail <= 0 && t.cells.(c + 1) = arrival && t.cells.(c) - tail + 1 = seq
+    then t.cells.(c + 2) <- tail - count
+    else append t ~seq ~arrival ~tail:(1 - count);
+    t.len <- t.len + count
+
+  let push t (p : packet) =
+    if p.attempts = 0 then push_run t ~seq:p.seq ~arrival:p.arrival ~count:1
     else begin
-      if t.entries = t.capacity then grow t;
-      let c = cell t t.entries in
-      t.cells.(c) <- p.seq;
-      t.cells.(c + 1) <- p.arrival;
-      t.cells.(c + 2) <- p.attempts;
-      t.entries <- t.entries + 1
-    end;
-    t.len <- t.len + 1
+      append t ~seq:p.seq ~arrival:p.arrival ~tail:p.attempts;
+      t.len <- t.len + 1
+    end
 
   let pop_front t =
     if t.len = 0 then Wfs_util.Error.empty_queue "Packet.Ring.pop_front";

@@ -34,12 +34,12 @@ val pp : Format.formatter -> t -> unit
     one packet with [a] attempts; a tail [-k] is a run of [k + 1] packets
     with consecutive seqs, the entry's arrival slot and no attempts.  In
     the slotted model every packet a flow receives in one slot joins one
-    run, so a saturated queue grows per slot rather than per packet, while
-    a stream of single arrivals costs one entry per packet.  A ring holds
-    no storage until its first {!push}, so flows that never receive a
-    packet cost one small record.  The packet's [flow] is implied by whose
-    ring it is, and [size] is not kept: slotted wireless packets are size
-    1.
+    run, which {!push_run} appends in one step, so a saturated queue grows
+    per slot rather than per packet, while a stream of single arrivals
+    costs one entry per packet.  A ring holds no storage until its first
+    push, so flows that never receive a packet cost one small record.  The
+    packet's [flow] is implied by whose ring it is, and [size] is not kept:
+    slotted wireless packets are size 1.
 
     The encoding is invisible: every function below sees the packet
     sequence, one packet at a time.
@@ -64,11 +64,18 @@ module Ring : sig
 
   val push : t -> packet -> unit
   (** Append at the tail, copying the packet's [seq], [arrival] and
-      [attempts]; the record itself is not kept.  The tail entry takes the
-      packet when the packet has no attempts, shares the tail's arrival
-      slot and its seq is one past the tail's last, and the tail is not a
-      single packet with attempts; otherwise the packet gets an entry of
-      its own. *)
+      [attempts]; the record itself is not kept.  A packet with no
+      attempts goes through {!push_run} as a run of one; a packet with
+      attempts gets an entry of its own. *)
+
+  val push_run : t -> seq:int -> arrival:int -> count:int -> unit
+  (** [push_run t ~seq ~arrival ~count] appends [count >= 1] packets with
+      seqs [seq .. seq + count - 1], arrival slot [arrival] and no
+      attempts, in O(1): the same ring as [count] {!push}es of those
+      packets.  The tail entry takes the whole run when its arrival slot
+      matches, [seq] is one past its last seq, and it is not a single
+      packet with attempts; otherwise the run gets an entry of its own.
+      @raise Invalid_argument when [count < 1]. *)
 
   val pop_front : t -> unit
   (** Remove the head packet, shrinking the head entry. *)

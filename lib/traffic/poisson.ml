@@ -3,20 +3,12 @@ let create ~rng ~rate =
   (* One slot's arrival count.  Below the huge-mean cutoff this is
      [Rng.poisson]'s Knuth inversion with [exp (-.rate)] hoisted out of the
      per-slot draw: the identical draw sequence, without a transcendental
-     (or a boxed accumulator) per slot.  Above it, [Rng.poisson]'s normal
-     approximation has nothing to hoist. *)
+     per slot.  Above it, [Rng.poisson]'s normal approximation has nothing
+     to hoist. *)
   let sample =
     if rate > 0. && rate < 500. then begin
       let limit = exp (-.rate) in
-      fun () ->
-        let k = ref 0 in
-        let p = ref 1.0 in
-        let continue = ref true in
-        while !continue do
-          p := !p *. Wfs_util.Rng.float rng;
-          if !p <= limit then continue := false else incr k
-        done;
-        !k
+      fun () -> Wfs_util.Rng.poisson_knuth rng ~limit
     end
     else fun () -> Wfs_util.Rng.poisson rng ~mean:rate
   in

@@ -2,36 +2,27 @@
    sample paths stable across OCaml releases and to support cheap stream
    splitting.
 
-   The four 64-bit state words are stored as native-int 32-bit halves
-   rather than [int64] fields: without flambda every [int64] field store
-   boxes (seven heap allocations per draw), and the RNG is the per-slot
-   floor of the event-compressed simulator — byte-identity makes every
-   dynamic channel and live source consume exactly one draw per slot, so
-   draw cost bounds slots/s no matter how many slots the calendar skips.
-   Halved native ints keep the whole step in immediate arithmetic: zero
-   allocation, bit-exact xoshiro256** output (pinned by the golden CSVs
-   and test_util's stream tests).  Each 32-bit half lives in a 63-bit
-   native int, so products by 5/9 (< 2^36) and shifted halves never
-   overflow; [land m32] renormalizes after every op. *)
+   The four 64-bit state words live in one 32-byte [Bytes], read and
+   written with [Bytes.get_int64_le]/[set_int64_le].  Those accessors are
+   compiler primitives behind a one-line stdlib wrapper, so a step is
+   straight-line [int64] arithmetic on unboxed registers: nothing is
+   allocated as long as the step's [int64] result never leaves the
+   function that consumes it.  [step] is therefore inlined into every
+   reader — [float], [bool], [int], [bernoulli] and the Knuth loop of
+   [poisson_knuth] — each of which returns an immediate (or, for [float],
+   one boxed float to a caller in another module).  Without flambda an
+   [int64] record field would box on every store, which is why the state
+   is not a record.  The RNG is the per-slot floor of the event-compressed
+   simulator: byte-identity makes every dynamic channel and live source
+   consume exactly one draw per slot, so draw cost bounds slots/s no
+   matter how many slots the calendar skips.  Output is bit-exact
+   xoshiro256**, pinned by the known-answer vectors in test_util and by
+   the golden CSVs. *)
 
-type t = {
-  mutable lo0 : int;
-  mutable hi0 : int;
-  mutable lo1 : int;
-  mutable hi1 : int;
-  mutable lo2 : int;
-  mutable hi2 : int;
-  mutable lo3 : int;
-  mutable hi3 : int;
-  (* Halves of the last output: [next] leaves its result here so the hot
-     readers ([float]/[int]/[bool]) never build a tuple or an [Int64]. *)
-  mutable rlo : int;
-  mutable rhi : int;
-}
+type t = Bytes.t
 
-let m32 = 0xFFFFFFFF
-
-(* Seeding stays in [Int64] — it runs once per stream, never per slot. *)
+(* Seeding stays in boxed [Int64] — it runs once per stream, never per
+   slot. *)
 let splitmix64_next state =
   let open Int64 in
   state := add !state 0x9E3779B97F4A7C15L;
@@ -40,103 +31,45 @@ let splitmix64_next state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let lo_of z = Int64.to_int (Int64.logand z 0xFFFFFFFFL)
-let hi_of z = Int64.to_int (Int64.shift_right_logical z 32)
+let of_splitmix seed =
+  let state = ref seed in
+  let t = Bytes.create 32 in
+  for w = 0 to 3 do
+    Bytes.set_int64_le t (8 * w) (splitmix64_next state)
+  done;
+  t
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let w0 = splitmix64_next state in
-  let w1 = splitmix64_next state in
-  let w2 = splitmix64_next state in
-  let w3 = splitmix64_next state in
-  {
-    lo0 = lo_of w0;
-    hi0 = hi_of w0;
-    lo1 = lo_of w1;
-    hi1 = hi_of w1;
-    lo2 = lo_of w2;
-    hi2 = hi_of w2;
-    lo3 = lo_of w3;
-    hi3 = hi_of w3;
-    rlo = 0;
-    rhi = 0;
-  }
+let create seed = of_splitmix (Int64.of_int seed)
 
-(* One xoshiro256** step: result = rotl(s1 * 5, 7) * 9, then the state
-   scramble.  A 64-bit op on halves: multiplies carry [l lsr 32] into the
-   high half, [rotl k] (k < 32) is
-   (lo, hi) -> ((lo lsl k) lor (hi lsr (32-k)), (hi lsl k) lor (lo lsr (32-k)))
-   and [rotl 45] is a half swap followed by [rotl 13]. *)
-let[@hot] next t =
-  let lo1 = t.lo1 and hi1 = t.hi1 in
-  (* s1 * 5 *)
-  let l = lo1 * 5 in
-  let mlo = l land m32 in
-  let mhi = ((hi1 * 5) + (l lsr 32)) land m32 in
-  (* rotl 7 *)
-  let rlo = ((mlo lsl 7) lor (mhi lsr 25)) land m32 in
-  let rhi = ((mhi lsl 7) lor (mlo lsr 25)) land m32 in
-  (* * 9 *)
-  let l = rlo * 9 in
-  t.rlo <- l land m32;
-  t.rhi <- ((rhi * 9) + (l lsr 32)) land m32;
-  (* tmp = s1 lsl 17 *)
-  let tlo = (lo1 lsl 17) land m32 in
-  let thi = ((hi1 lsl 17) lor (lo1 lsr 15)) land m32 in
-  let lo2 = t.lo2 lxor t.lo0 and hi2 = t.hi2 lxor t.hi0 in
-  let lo3 = t.lo3 lxor lo1 and hi3 = t.hi3 lxor hi1 in
-  t.lo1 <- lo1 lxor lo2;
-  t.hi1 <- hi1 lxor hi2;
-  t.lo0 <- t.lo0 lxor lo3;
-  t.hi0 <- t.hi0 lxor hi3;
-  t.lo2 <- lo2 lxor tlo;
-  t.hi2 <- hi2 lxor thi;
-  (* s3 = rotl s3 45 *)
-  t.lo3 <- ((hi3 lsl 13) lor (lo3 lsr 19)) land m32;
-  t.hi3 <- ((lo3 lsl 13) lor (hi3 lsr 19)) land m32
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
-  next t;
-  Int64.logor (Int64.shift_left (Int64.of_int t.rhi) 32) (Int64.of_int t.rlo)
+(* One xoshiro256** step: the output rotl(s1 * 5, 7) * 9, then the state
+   scramble. *)
+let[@inline always] step t =
+  let s0 = Bytes.get_int64_le t 0 in
+  let s1 = Bytes.get_int64_le t 8 in
+  let s2 = Bytes.get_int64_le t 16 in
+  let s3 = Bytes.get_int64_le t 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  Bytes.set_int64_le t 0 (Int64.logxor s0 s3);
+  Bytes.set_int64_le t 8 (Int64.logxor s1 s2);
+  Bytes.set_int64_le t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  Bytes.set_int64_le t 24 (rotl s3 45);
+  result
 
-let split t =
-  let state = ref (bits64 t) in
-  let w0 = splitmix64_next state in
-  let w1 = splitmix64_next state in
-  let w2 = splitmix64_next state in
-  let w3 = splitmix64_next state in
-  {
-    lo0 = lo_of w0;
-    hi0 = hi_of w0;
-    lo1 = lo_of w1;
-    hi1 = hi_of w1;
-    lo2 = lo_of w2;
-    hi2 = hi_of w2;
-    lo3 = lo_of w3;
-    hi3 = hi_of w3;
-    rlo = 0;
-    rhi = 0;
-  }
+let bits64 t = step t
+let split t = of_splitmix (bits64 t)
+let copy = Bytes.copy
 
-let copy t =
-  {
-    lo0 = t.lo0;
-    hi0 = t.hi0;
-    lo1 = t.lo1;
-    hi1 = t.hi1;
-    lo2 = t.lo2;
-    hi2 = t.hi2;
-    lo3 = t.lo3;
-    hi3 = t.hi3;
-    rlo = t.rlo;
-    rhi = t.rhi;
-  }
+(* Top 53 bits of one output, scaled to [0,1). *)
+let[@inline always] unit_float t =
+  float_of_int (Int64.to_int (Int64.shift_right_logical (step t) 11))
+  *. 0x1.0p-53
 
-let[@hot] float t =
-  (* Top 53 bits scaled to [0,1): (output lsr 11) fits a native int. *)
-  next t;
-  let x = (t.rhi lsl 21) lor (t.rlo lsr 11) in
-  float_of_int x *. 0x1.0p-53
+let[@hot] float t = unit_float t
 
 let int t n =
   assert (n > 0);
@@ -147,20 +80,16 @@ let int t n =
       let rec widen m = if m >= n - 1 then m else widen ((m lsl 1) lor 1) in
       widen 1
     in
-    let rec draw () =
-      next t;
-      (* Low 62 bits of the output, as the Int64 path masked them. *)
-      let v = (((t.rhi land 0x3FFFFFFF) lsl 32) lor t.rlo) land mask in
-      if v < n then v else draw ()
-    in
-    draw ()
+    (* [mask < 2^62], so the low 63 bits [Int64.to_int] keeps are enough. *)
+    let v = ref (Int64.to_int (step t) land mask) in
+    while !v >= n do
+      v := Int64.to_int (step t) land mask
+    done;
+    !v
   end
 
-let bool t =
-  next t;
-  t.rlo land 1 <> 0
-
-let[@hot] bernoulli t p = float t < p
+let bool t = Int64.to_int (step t) land 1 <> 0
+let[@hot] bernoulli t p = unit_float t < p
 
 let exponential t ~rate =
   assert (rate > 0.);
@@ -168,18 +97,22 @@ let exponential t ~rate =
   (* 1 - u is in (0,1], so log is finite. *)
   -.log (1. -. u) /. rate
 
+(* Inversion by sequential search (Knuth), linear in the mean: the number
+   of draws before their running product falls to [limit].  A local float
+   ref, so the product is never boxed. *)
+let[@hot] poisson_knuth t ~limit =
+  let k = ref 0 in
+  let p = ref (unit_float t) in
+  while !p > limit do
+    incr k;
+    p := !p *. unit_float t
+  done;
+  !k
+
 let poisson t ~mean =
   assert (mean >= 0.);
   if mean <= 0. then 0
-  else if mean < 500. then begin
-    (* Inversion by sequential search (Knuth), linear in the mean. *)
-    let limit = exp (-.mean) in
-    let rec loop k p =
-      let p = p *. float t in
-      if p <= limit then k else loop (k + 1) p
-    in
-    loop 0 1.0
-  end
+  else if mean < 500. then poisson_knuth t ~limit:(exp (-.mean))
   else begin
     (* Normal approximation; adequate for the rare huge-mean case. *)
     let u1 = float t and u2 = float t in

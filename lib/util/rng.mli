@@ -34,7 +34,8 @@ val bool : t -> bool
 (** Fair coin. *)
 
 val bernoulli : t -> float -> bool
-(** [bernoulli rng p] is [true] with probability [p]. *)
+(** [bernoulli rng p] is [true] with probability [p].  Allocates
+    nothing. *)
 
 val exponential : t -> rate:float -> float
 (** [exponential rng ~rate] draws from Exp(rate); mean [1/rate].
@@ -42,7 +43,15 @@ val exponential : t -> rate:float -> float
 
 val poisson : t -> mean:float -> int
 (** [poisson rng ~mean] draws a Poisson variate.  Uses inversion for small
-    means and normal approximation fallback above 500 to stay O(mean). *)
+    means ({!poisson_knuth} with [limit = exp (-. mean)]) and normal
+    approximation fallback above 500 to stay O(mean). *)
+
+val poisson_knuth : t -> limit:float -> int
+(** [poisson_knuth rng ~limit] is Knuth's sequential inversion for a
+    Poisson variate of mean [m], given [limit = exp (-. m)]: the number of
+    uniform draws taken before their running product falls to [limit] or
+    below, the last draw not counted.  A source that samples the same mean
+    every slot computes [limit] once.  Allocates nothing. *)
 
 val geometric : t -> p:float -> int
 (** [geometric rng ~p] is the number of failures before the first success in

@@ -13,6 +13,9 @@ let instance t =
   {
     Sched.name = "FIXTURE-PROBED";
     enqueue = (fun ~slot:_ pkt -> Packet.Ring.push t.q pkt);
+    arrive =
+      (fun ~slot ~flow:_ ~seq ~count ->
+        Packet.Ring.push_run t.q ~seq ~arrival:slot ~count);
     select =
       (fun ~slot:_ ~predicted_good:_ ->
         if Packet.Ring.is_empty t.q then None else Some 0);

@@ -239,6 +239,7 @@ let fake_sched ?(queue_length = fun _ -> 0) probe =
   {
     Core.Wireless_sched.name = "Evil";
     enqueue = (fun ~slot:_ _ -> ());
+    arrive = (fun ~slot:_ ~flow:_ ~seq:_ ~count:_ -> ());
     select = (fun ~slot:_ ~predicted_good:_ -> None);
     packets = (let empty = Wfs_traffic.Packet.Ring.create () in fun _ -> empty);
     complete = (fun ~flow:_ -> ());

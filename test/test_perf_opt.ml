@@ -113,10 +113,16 @@ let push_ring r model (seq, arrival, attempts) =
   Ring.push r p;
   model @ [ (seq, arrival, attempts) ]
 
+let push_run_ring r model ~seq ~arrival ~count =
+  Ring.push_run r ~seq ~arrival ~count;
+  model @ List.init count (fun k -> (seq + k, arrival, 0))
+
 (* Ops: 0-1 push a packet of its own slot, 2 pop_front, 3 pop_back, 4 bump
    the head's attempts; then, relative to the newest packet: 5-6 the next
    seq in its slot (joins its run), 7 the next seq in its slot with
-   attempts, 8 the next seq in the next slot, 9 a seq gap in its slot. *)
+   attempts, 8 the next seq in the next slot, 9 a seq gap in its slot;
+   10 [push_run] of 1-5 packets from the next seq in its slot, 11 of 1-4
+   packets of their own slot. *)
 let apply_ring_op r model (op, x) =
   let head_matches () =
     match model with
@@ -132,8 +138,10 @@ let apply_ring_op r model (op, x) =
     | [] -> (x, x * 3)
     | (seq, arrival, _) :: _ -> (seq + 1, arrival)
   in
-  match op mod 10 with
+  match op mod 12 with
   | 0 | 1 -> push_ring r model (x, x * 3, x mod 4)
+  | 10 -> push_run_ring r model ~seq ~arrival ~count:(1 + (x mod 5))
+  | 11 -> push_run_ring r model ~seq:x ~arrival:(x * 3) ~count:(1 + (x mod 4))
   | 5 | 6 -> push_ring r model (seq, arrival, 0)
   | 7 -> push_ring r model (seq, arrival, 1 + (x mod 3))
   | 8 -> push_ring r model (seq, arrival + 1, 0)
@@ -233,7 +241,8 @@ let same_tags a b =
 (* Ops, from [(op, a, b)]: 0-3 add with v at or below the chain, 4 add with
    v above it, 5 pop_front, 6 pop_back, 7 trim_lagging with v just above
    the finish of slot [a] and a bound of [b], 8 clamp_lead with v below the
-   head's start, 9 add at v = 0.  The weights 3 and 0.7 make 1/r
+   head's start, 9 add at v = 0, 10 [add_run] of [1 + b mod 16] slots with
+   v at, below or above the chain.  The weights 3 and 0.7 make 1/r
    non-dyadic, so a tag computed in closed form (s0 +. k *. 1/r) instead of
    by the additions [add] performed reads different bits. *)
 let prop_slot_queue_model =
@@ -241,7 +250,7 @@ let prop_slot_queue_model =
     ~count:500
     QCheck.(
       pair (pair bool (0 -- 2))
-        (list_of_size Gen.(0 -- 120) (triple (0 -- 9) small_nat small_nat)))
+        (list_of_size Gen.(0 -- 120) (triple (0 -- 10) small_nat small_nat)))
     (fun ((heavy, lead_pick), ops) ->
       let weight = if heavy then 3. else 0.7 in
       let max_lead = [| 0.5; 1.5; 4. |].(lead_pick) in
@@ -291,9 +300,16 @@ let prop_slot_queue_model =
             if got <> expect then
               QCheck.Test.fail_reportf "clamp %b, model %b" got expect;
             m
-        | _ ->
+        | 9 ->
             Sq.add q ~v:0.;
             sq_model_add ~weight m ~v:0.
+        | _ ->
+            let v = m.chain +. (float_of_int ((a mod 5) - 2) *. 0.31) in
+            let count = 1 + (b mod 16) in
+            Sq.add_run q ~v ~count;
+            List.fold_left
+              (fun m _ -> sq_model_add ~weight m ~v)
+              m (List.init count Fun.id)
       in
       let agrees (m : sq_model) =
         Sq.length q = List.length m.slots
@@ -687,6 +703,181 @@ let prop_csdps_differential =
       alternating
         (fun () -> Core.Csdps.instance (Core.Csdps.create ~backoff ~naive:true flows))
         (fun () -> Core.Csdps.instance (Core.Csdps.create ~backoff flows)))
+
+(* --- arrive == count enqueues --- *)
+
+(* Every scheduler configuration the drivers can build, naive and indexed,
+   over three flows with non-dyadic weights: 1/3, 1/0.7 and 1/1.5 have no
+   exact binary form, so a tag chain or fluid backlog computed in closed
+   form reads different bits from the per-packet additions.  Each entry
+   makes an instance and a probe of the floats it keeps per flow. *)
+let arrive_weights = [| 3.; 0.7; 1.5 |]
+
+let arrive_configs =
+  let flows =
+    Array.mapi (fun id weight -> Core.Params.flow ~id ~weight ()) arrive_weights
+  in
+  let n_flows = Array.length flows in
+  let floats_of (s : Core.Wireless_sched.instance) f =
+    (match s.probe.virtual_time with Some v -> [ v () ] | None -> [])
+    @ match s.probe.finish_tag with Some tag -> [ tag f ] | None -> []
+  in
+  let plain make () =
+    let s = make () in
+    (s, floats_of s)
+  in
+  let iwfq ~wf2q ~naive () =
+    let params =
+      { (Core.Params.iwfq_defaults ~n_flows) with
+        Core.Params.wf2q_selection = wf2q
+      }
+    in
+    let t = Core.Iwfq.create ~params ~naive flows in
+    let s = Core.Iwfq.instance t in
+    let fluid = Core.Iwfq.fluid t in
+    (s, fun f -> Core.Fluid_ref.queue fluid ~flow:f :: floats_of s f)
+  in
+  List.concat_map
+    (fun naive ->
+      let mode = if naive then "naive" else "indexed" in
+      [
+        (Printf.sprintf "IWFQ WF2Q %s" mode, iwfq ~wf2q:true ~naive);
+        (Printf.sprintf "IWFQ %s" mode, iwfq ~wf2q:false ~naive);
+        ( Printf.sprintf "CIF-Q %s" mode,
+          plain (fun () ->
+              Core.Cifq.instance (Core.Cifq.create ~naive flows)) );
+        ( Printf.sprintf "CSDPS %s" mode,
+          plain (fun () ->
+              Core.Csdps.instance
+                (Core.Csdps.create ~backoff:3 ~naive flows)) );
+      ]
+      @ List.map
+          (fun (name, params) ->
+            ( Printf.sprintf "%s %s" name mode,
+              plain (fun () ->
+                  Core.Wps.instance (Core.Wps.create ~params ~naive flows)) ))
+          [
+            ("BlindWRR", Core.Params.blind_wrr);
+            ("WRR", Core.Params.wrr);
+            ("NoSwap", Core.Params.noswap ());
+            ("SwapW", Core.Params.swapw ());
+            ("SwapA", Core.Params.swapa ());
+          ])
+    [ false; true ]
+
+(* Drive two instances of one configuration through the same operations,
+   except that [a] takes each batch of fresh packets as one [arrive] and
+   [b] as [count] [enqueue]s.  Ops, from [(op, x, y)]: 0-3 a batch of
+   [1 + y mod 16] packets for flow [x mod 3] (4: after a seq gap, as a
+   buffer drop leaves), 5 a packet with attempts (a handoff re-queue),
+   6-7 a slot: select with a prediction pattern from [x], then deliver,
+   or fail and drop past two attempts, per [y]; 8 the delay-bound drop
+   loop at bound [x mod 5]; 9 an idle slot.  After every op both must agree
+   on queue lengths, head seq, arrival and attempts, and, bit for bit, on
+   the probe floats. *)
+let arrive_equiv_run
+    (name, (make : unit -> Core.Wireless_sched.instance * (int -> float list)))
+    ops =
+  let a, floats_a = make () and b, floats_b = make () in
+  let n = Array.length arrive_weights in
+  let seqs = Array.make n 0 in
+  let slot = ref 0 in
+  let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) name in
+  let agree step =
+    for f = 0 to n - 1 do
+      let qa = a.packets f and qb = b.packets f in
+      if a.queue_length f <> b.queue_length f then
+        fail "op %d: flow %d holds %d vs %d packets" step f (a.queue_length f)
+          (b.queue_length f);
+      if
+        (not (Ring.is_empty qa))
+        && (Ring.head_seq qa <> Ring.head_seq qb
+           || Ring.head_arrival qa <> Ring.head_arrival qb
+           || Ring.head_attempts qa <> Ring.head_attempts qb)
+      then fail "op %d: flow %d heads differ" step f;
+      let same x y =
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      in
+      if not (List.equal same (floats_a f) (floats_b f)) then
+        fail "op %d: flow %d floats differ" step f
+    done
+  in
+  let end_slot ~predicted_good ~deliver =
+    let sa = a.select ~slot:!slot ~predicted_good in
+    let sb = b.select ~slot:!slot ~predicted_good in
+    if sa <> sb then fail "slot %d: selections differ" !slot;
+    (match sa with
+    | None -> ()
+    | Some f ->
+        if deliver then begin
+          a.complete ~flow:f;
+          b.complete ~flow:f
+        end
+        else begin
+          Ring.bump_attempts (a.packets f);
+          Ring.bump_attempts (b.packets f);
+          a.fail ~flow:f;
+          b.fail ~flow:f;
+          if Ring.head_attempts (a.packets f) > 2 then begin
+            a.drop_head ~flow:f;
+            b.drop_head ~flow:f
+          end
+        end);
+    a.on_slot_end ~slot:!slot;
+    b.on_slot_end ~slot:!slot;
+    incr slot
+  in
+  List.iteri
+    (fun step (op, x, y) ->
+      let f = x mod n in
+      (match op with
+      | 0 | 1 | 2 | 3 | 4 ->
+          if op = 4 then seqs.(f) <- seqs.(f) + 1 + (y mod 3);
+          let count = 1 + (y mod 16) and seq = seqs.(f) in
+          a.arrive ~slot:!slot ~flow:f ~seq ~count;
+          for k = 0 to count - 1 do
+            b.enqueue ~slot:!slot
+              (Packet.make ~flow:f ~seq:(seq + k) ~arrival:!slot ())
+          done;
+          seqs.(f) <- seq + count
+      | 5 ->
+          let mk () =
+            let arrival = !slot - (y mod 4) in
+            let p = Packet.make ~flow:f ~seq:seqs.(f) ~arrival () in
+            p.attempts <- 1 + (y mod 2);
+            p
+          in
+          a.enqueue ~slot:!slot (mk ());
+          b.enqueue ~slot:!slot (mk ());
+          seqs.(f) <- seqs.(f) + 1
+      | 6 | 7 ->
+          end_slot
+            ~predicted_good:(fun i -> (x lsr i) land 1 = 0 || i = y mod n)
+            ~deliver:(y mod 4 <> 0)
+      | 8 ->
+          let bound = x mod 5 in
+          for f = 0 to n - 1 do
+            let drop (s : Core.Wireless_sched.instance) =
+              while
+                Core.Wireless_sched.head_expired s ~flow:f ~now:!slot ~bound
+              do
+                s.drop_head ~flow:f
+              done
+            in
+            drop a;
+            drop b
+          done
+      | _ -> end_slot ~predicted_good:(fun _ -> false) ~deliver:true);
+      agree step)
+    ops;
+  true
+
+let prop_arrive_equiv =
+  QCheck.Test.make ~name:"arrive ~count:k == k enqueues, every scheduler"
+    ~count:150
+    QCheck.(list_of_size Gen.(1 -- 120) (triple (0 -- 9) small_nat small_nat))
+    (fun ops ->
+      List.for_all (fun config -> arrive_equiv_run config ops) arrive_configs)
 
 (* --- The spread kernel == dense spreading --- *)
 
@@ -1149,6 +1340,59 @@ let test_select_words () =
       ([ "IWFQ-I"; "IWFQ-P" ], 8.);
     ]
 
+(* One draw per dynamic channel and per live source and slot is the
+   per-slot floor every engine pays, so the draws themselves must not
+   allocate: a Poisson(8) sample and a Bernoulli draw take 0 minor words,
+   and a Gilbert-Elliott channel advance takes at most the 2 of the
+   [Some state] it stores.  The RNG core is inlined within [Rng] itself,
+   so these budgets hold without cross-module inlining: the dev build
+   that runs this test binds them as well as a release build. *)
+let draw_words f =
+  let calls = 100_000 in
+  for _ = 1 to 1_000 do
+    f ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let test_draw_words () =
+  let rng = Rng.create 5 in
+  let source = Wfs_traffic.Poisson.create ~rng ~rate:8. in
+  let slot = ref 0 and total = ref 0 in
+  let poisson () =
+    total := !total + Wfs_traffic.Arrival.arrivals source ~slot:!slot;
+    incr slot
+  in
+  let hits = ref 0 in
+  let bernoulli () = if Rng.bernoulli rng 0.3 then incr hits in
+  let channel =
+    Wfs_channel.Gilbert_elliott.create ~rng:(Rng.create 6) ~pg:0.05 ~pe:0.2 ()
+  in
+  let cslot = ref 0 in
+  let advance () =
+    ignore
+      (Wfs_channel.Channel.advance channel ~slot:!cslot
+        : Wfs_channel.Channel.state);
+    incr cslot
+  in
+  List.iter
+    (fun (what, f, budget) ->
+      let words = draw_words f in
+      check_bool
+        (Printf.sprintf "%s: %.2f minor words per call (at most %.0f)" what
+           words budget)
+        true
+        (words <= budget +. 0.01))
+    [
+      ("Poisson(8) sample", poisson, 0.);
+      ("Rng.bernoulli", bernoulli, 0.);
+      ("Gilbert-Elliott Channel.advance", advance, 2.);
+    ];
+  check_bool "the draws ran" true (!total > 0 && !hits > 0)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_deque_model;
@@ -1164,6 +1408,7 @@ let suite =
     Alcotest.test_case "packet store keeps attempts" `Quick
       test_store_keeps_attempts;
     Alcotest.test_case "select minor words" `Quick test_select_words;
+    Alcotest.test_case "draw minor words" `Quick test_draw_words;
     QCheck_alcotest.to_alcotest prop_flow_heap_model;
     Alcotest.test_case "flow_heap basics" `Quick test_flow_heap_basics;
     QCheck_alcotest.to_alcotest prop_flow_set_model;
@@ -1171,6 +1416,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cifq_differential;
     QCheck_alcotest.to_alcotest prop_wps_differential;
     QCheck_alcotest.to_alcotest prop_csdps_differential;
+    QCheck_alcotest.to_alcotest prop_arrive_equiv;
     QCheck_alcotest.to_alcotest prop_spread_matches_dense;
     Alcotest.test_case "never source" `Quick test_never_source;
     Alcotest.test_case "static channel" `Quick test_static_channel;

@@ -170,25 +170,55 @@ let test_metrics_backlog_remaining () =
 let test_buffer_overflow_drops () =
   (* Buffer of 3: a burst of 10 packets into a blocked channel keeps 3 and
      drops 7 at the door. *)
-  let source = Wfs_traffic.Trace_source.create [ (0, 10) ] in
-  let channel = Wfs_channel.Periodic_ch.bad_burst ~start:0 ~length:100 in
-  let setups =
+  let setups () =
     [|
       {
         Core.Simulator.flow =
           Core.Params.flow ~id:0 ~weight:1. ~buffer:3 ();
-        source;
-        channel;
+        source = Wfs_traffic.Trace_source.create [ (0, 10) ];
+        channel = Wfs_channel.Periodic_ch.bad_burst ~start:0 ~length:100;
       };
     |]
   in
-  let cfg =
-    Core.Simulator.config ~predictor:Wfs_channel.Predictor.Perfect ~horizon:5
-      setups
+  let run ?trace () =
+    let setups = setups () in
+    let cfg =
+      Core.Simulator.config ~predictor:Wfs_channel.Predictor.Perfect ?trace
+        ~horizon:5 setups
+    in
+    let sched = wrr_sched (Core.Presets.flows_of setups) in
+    (Core.Simulator.run cfg sched, sched)
   in
-  let m = Core.Simulator.run cfg (wrr_sched (Core.Presets.flows_of setups)) in
+  let m, sched = run () in
   check_int "7 dropped at the buffer" 7 (Core.Metrics.dropped m ~flow:0);
-  check_int "3 still queued" 3 (Core.Metrics.backlog_remaining m ~flow:0)
+  check_int "3 still queued" 3 (Core.Metrics.backlog_remaining m ~flow:0);
+  (* The admitted packets are the batch's prefix. *)
+  let q = sched.packets 0 in
+  let queued = ref [] in
+  while not (Wfs_traffic.Packet.Ring.is_empty q) do
+    queued := Wfs_traffic.Packet.Ring.head_seq q :: !queued;
+    sched.drop_head ~flow:0
+  done;
+  Alcotest.(check (list int)) "queued seqs" [ 0; 1; 2 ] (List.rev !queued);
+  (* A traced run records each packet's Arrival, then its Drop. *)
+  let trace = Core.Tracelog.create () in
+  ignore (run ~trace ());
+  let events =
+    List.filter_map
+      (fun { Core.Tracelog.event; _ } ->
+        match event with
+        | Core.Tracelog.Arrival { seq; _ } -> Some (Printf.sprintf "A%d" seq)
+        | Core.Tracelog.Drop { seq; _ } -> Some (Printf.sprintf "D%d" seq)
+        | _ -> None)
+      (Core.Tracelog.events trace)
+  in
+  Alcotest.(check (list string))
+    "arrival and drop events"
+    ([ "A0"; "A1"; "A2" ]
+    @ List.concat_map
+        (fun k -> [ Printf.sprintf "A%d" k; Printf.sprintf "D%d" k ])
+        [ 3; 4; 5; 6; 7; 8; 9 ])
+    events
 
 let test_scenario_buffer_attribute () =
   let s =
@@ -211,9 +241,7 @@ let test_metrics_drop_share () =
      with 10 arrivals, 2 delivered, 1 dropped has loss 0.1 but drop share
      1/3. *)
   let m = Core.Metrics.create ~n_flows:1 () in
-  for _ = 1 to 10 do
-    Core.Metrics.on_arrival m ~flow:0
-  done;
+  Core.Metrics.on_arrivals m ~flow:0 ~count:10;
   Core.Metrics.on_deliver m ~flow:0 ~delay:1;
   Core.Metrics.on_deliver m ~flow:0 ~delay:2;
   Core.Metrics.on_drop m ~flow:0;

@@ -283,6 +283,88 @@ let test_table_render () =
   check_bool "pads short rows" true
     (List.length (String.split_on_char '\n' s) = 6)
 
+(* Known answers, recorded from the 32-bit-halves implementation this
+   core replaced: the stream tests above only check self-consistency, so a
+   port that scrambles one word differently passes them. *)
+let test_rng_known_bits () =
+  let expect name rng words =
+    List.iteri
+      (fun i w ->
+        Alcotest.(check int64) (Printf.sprintf "%s, output %d" name i) w
+          (Rng.bits64 rng))
+      words
+  in
+  expect "create 0" (Rng.create 0)
+    [
+      0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L;
+      0x6aa594f1262d2d2cL; 0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL;
+      0x6c160deed2f54c98L; 0x8920ad648fc30a3fL;
+    ];
+  expect "create 42" (Rng.create 42)
+    [
+      0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L;
+      0xecb8ad4703b360a1L; 0xfde6dc7fe2ec5e64L; 0xc50da53101795238L;
+      0xb82154855a65ddb2L; 0xd99a2743ebe60087L;
+    ];
+  expect "create (-1)" (Rng.create (-1))
+    [
+      0x8f5520d52a7ead08L; 0xc476a018caa1802dL; 0x81de31c0d260469eL;
+      0xbf658d7e065f3c2fL; 0x913593fda1bca32aL; 0xbb535e93941ba525L;
+      0x5ecda415c3c6dfdeL; 0xc487398fc9de9ae2L;
+    ];
+  expect "split (create 7)" (Rng.split (Rng.create 7))
+    [
+      0x214c58958ca2a8a5L; 0x84a76abe9e4119dcL; 0xd9dd03480cc8f2e4L;
+      0x6aa8bb77bb77649cL; 0xedbf4485985f620cL; 0x01992160374c398fL;
+      0xb252d1026ed965feL; 0x9f7e67e840e2ebeeL;
+    ]
+
+(* Each reader's first draws from [create 2024], compared bit for bit. *)
+let test_rng_known_draws () =
+  let draws n f =
+    let rng = Rng.create 2024 in
+    List.init n (fun _ -> f rng)
+  in
+  Alcotest.(check (list int64))
+    "float"
+    (List.map Int64.bits_of_float
+       [
+         0x1.c90e2b427aeep-5; 0x1.906fe7dd14f42p-1; 0x1.272314b15ee5p-4;
+         0x1.47191d355f15p-3; 0x1.8c1be764c2cc1p-1; 0x1.f57f8431e67a8p-3;
+       ])
+    (List.map Int64.bits_of_float (draws 6 Rng.float));
+  Alcotest.(check (list int))
+    "int _ 7"
+    [ 6; 5; 1; 3; 5; 0; 4; 5; 4; 0; 3; 6; 5; 5; 1; 6 ]
+    (draws 16 (fun r -> Rng.int r 7));
+  Alcotest.(check (list bool))
+    "bool"
+    [
+      false; true; true; true; true; true; false; false; true; false; false;
+      true; false; true; true; true;
+    ]
+    (draws 16 Rng.bool);
+  Alcotest.(check (list bool))
+    "bernoulli 0.3"
+    [
+      true; false; true; true; false; true; false; true; false; true; false;
+      false; false; false; false; true;
+    ]
+    (draws 16 (fun r -> Rng.bernoulli r 0.3));
+  let poisson8 = [ 5; 9; 7; 3; 8; 9; 8; 5; 9; 8; 8; 3; 8; 6; 9; 5 ] in
+  Alcotest.(check (list int))
+    "poisson ~mean:8." poisson8
+    (draws 16 (fun r -> Rng.poisson r ~mean:8.));
+  Alcotest.(check (list int))
+    "poisson_knuth ~limit:(exp (-8.))" poisson8
+    (draws 16 (fun r -> Rng.poisson_knuth r ~limit:(exp (-8.))));
+  let rng = Rng.create 2024 in
+  for _ = 1 to 16 do
+    ignore (Rng.poisson rng ~mean:8.)
+  done;
+  Alcotest.(check int64) "the stream after 16 poisson draws"
+    0x98872f797bce1041L (Rng.bits64 rng)
+
 let test_cell_of_float () =
   Alcotest.(check string) "integer renders bare" "3" (Tablefmt.cell_of_float 3.0);
   Alcotest.(check string) "nan renders dash" "-" (Tablefmt.cell_of_float nan);
@@ -302,6 +384,8 @@ let suite =
     ("rng geometric mean", `Quick, test_rng_geometric_mean);
     ("rng bernoulli", `Quick, test_rng_bernoulli);
     ("rng shuffle permutation", `Quick, test_rng_shuffle_permutation);
+    ("rng known bits64", `Quick, test_rng_known_bits);
+    ("rng known draws", `Quick, test_rng_known_draws);
     ("heap order", `Quick, test_heap_order);
     ("heap FIFO ties", `Quick, test_heap_fifo_ties);
     ("heap empty", `Quick, test_heap_empty);
