@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the tier-1 gate CI runs.
 
-.PHONY: all build lint analyze sarif test check bench perf golden-check obs-demo clean
+.PHONY: all build lint analyze sarif test check bench golden-check obs-demo clean
 
 all: build
 
@@ -34,11 +34,6 @@ check:
 
 bench:
 	dune exec bench/main.exe -- --quick
-
-# End-to-end macro-benchmark only (slots/s per registry scheduler); see
-# docs/PERF.md for baselines and methodology.
-perf:
-	dune exec bench/main.exe -- --macro-only --seed 42
 
 # Regenerate the golden CSVs on both engines and require byte-identity
 # with the committed ones (the `golden` alias in test/dune; the perf work

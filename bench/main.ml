@@ -1,9 +1,10 @@
 (* Benchmark harness entry point.
 
-   Default: regenerate every paper table (1-11), the ablations, the MAC
+   Regenerate every paper table (1-11), the ablations, the MAC
    integration figures and the Section-5 bound checks on a pool of worker
-   domains, write the machine-readable BENCH_<timestamp>.json artifact,
-   then run the Bechamel micro-benchmarks.
+   domains, and write the machine-readable BENCH_<timestamp>.json
+   artifact.  Speed is measured by perfbench/ (release build, see
+   docs/PERF.md), not here.
 
    Arguments:
      --quick             shorter horizon (20k slots)
@@ -14,27 +15,6 @@
      --jobs N            worker domains (default: all cores; 1 = sequential)
      --json PATH         artifact path (default BENCH_<timestamp>.json)
      --no-json           skip the artifact
-     --tables-only       skip macro- and micro-benchmarks
-     --perf-only         only micro-benchmarks
-     --micro             only the fast-path primitives micro-benchmarks
-                         (Flow_heap min_accept, Flow_set find_from,
-                         Event_cal push/pop)
-     --macro-only        only the end-to-end macro-benchmark (slots/s);
-                         wall-clock covers the run loop only, never
-                         table/JSON serialization
-     --eventcomp         only the event-compression macro-benchmark:
-                         paper schedulers x {2,16,64,256} flows x
-                         {0.9,0.05} load, fast path off and on, with
-                         delivered-packet identity checked per pair
-     --topo              only the multi-cell topology macro-benchmark
-                         (64 cells x 256 flows sharded over --jobs domains,
-                         handoffs at epoch barriers; uses --macro-horizon)
-     --topo-faults PLAN  chaos fault plan for the topology benchmark
-                         (crash:R;recover:R;lose:R;corrupt:R;blackout:RxN;
-                         exn:R;persist:R;budget:N); adds crashes/rehomed
-                         degradation columns
-     --macro-horizon N   slots per macro-benchmark run
-                         (default 20000; 5000 with --quick)
      --resume PATH       checkpoint journal: created if absent, and jobs
                          whose results it already holds are not re-run
      --retries N         extra attempts per failed job (same RNG stream)
@@ -42,9 +22,10 @@
      --check-invariants  run the paper-property monitors in every job
      --flight-recorder N keep the last N trace events per job; a failed
                          job's error context reports them
-     --profile           self-profiling dashboard: one instrumented run
-                         (Example 2, SwapA-P) with per-phase timings,
-                         ns/slot, stage spans and probe instruments
+     --profile           self-profiling dashboard after the tables: one
+                         instrumented run (Example 2, SwapA-P, --horizon
+                         slots) with per-phase timings, ns/slot, stage
+                         spans and probe instruments
 
    Table output is byte-identical for every --jobs value: each run draws
    from RNG streams split from its own spec seed, and results merge by
@@ -54,11 +35,7 @@
 
 let usage =
   "usage: main.exe [--quick] [--horizon N] [--seed N] [--seeds K] [--jobs N]\n\
-  \                [--json PATH | --no-json]\n\
-  \                [--tables-only | --perf-only | --micro | --macro-only |\n\
-  \                 --eventcomp | --topo]\n\
-  \                [--topo-faults PLAN]\n\
-  \                [--macro-horizon N] [--resume PATH] [--retries N]\n\
+  \                [--json PATH | --no-json] [--resume PATH] [--retries N]\n\
   \                [--max-slots N] [--check-invariants] [--flight-recorder N]\n\
   \                [--profile]"
 
@@ -107,14 +84,6 @@ let () =
   let jobs = ref None in
   let json_path = ref None in
   let write_json = ref true in
-  let tables = ref true in
-  let perf = ref true in
-  let macro_only = ref false in
-  let eventcomp_only = ref false in
-  let micro_only = ref false in
-  let topo_only = ref false in
-  let topo_faults = ref None in
-  let macro_horizon = ref None in
   let resume = ref None in
   let retries = ref 0 in
   let max_slots = ref None in
@@ -155,34 +124,6 @@ let () =
     | "--no-json" :: rest ->
         write_json := false;
         parse rest
-    | "--tables-only" :: rest ->
-        perf := false;
-        parse rest
-    | "--perf-only" :: rest ->
-        tables := false;
-        parse rest
-    | "--macro-only" :: rest ->
-        macro_only := true;
-        parse rest
-    | "--eventcomp" :: rest ->
-        eventcomp_only := true;
-        parse rest
-    | "--micro" :: rest ->
-        micro_only := true;
-        parse rest
-    | "--topo" :: rest ->
-        topo_only := true;
-        parse rest
-    | ("--topo-faults" as flag) :: value :: rest ->
-        (match Wfs_runner.Spec.faults_of_string value with
-        | Ok plan -> topo_faults := Some plan
-        | Error e -> die "%s: %s" flag e);
-        parse rest
-    | ("--macro-horizon" as flag) :: value :: rest ->
-        let n = int_arg flag value in
-        if n <= 0 then die "%s must be positive, got %d" flag n;
-        macro_horizon := Some n;
-        parse rest
     | "--resume" :: path :: rest ->
         resume := Some path;
         parse rest
@@ -208,8 +149,7 @@ let () =
         profile := true;
         parse rest
     | [ ("--horizon" | "--seed" | "--seeds" | "--jobs" | "--json" | "--resume"
-        | "--retries" | "--max-slots" | "--macro-horizon" | "--flight-recorder"
-        | "--topo-faults") as flag ] ->
+        | "--retries" | "--max-slots" | "--flight-recorder") as flag ] ->
         die "%s expects a value" flag
     | arg :: _ -> die "unknown argument %s" arg
   in
@@ -222,23 +162,6 @@ let () =
   let jobs =
     match !jobs with Some n -> n | None -> Wfs_runner.Pool.default_jobs ()
   in
-  let macro_horizon =
-    match !macro_horizon with
-    | Some n -> n
-    | None -> if !quick then 5_000 else 20_000
-  in
-  let exclusive =
-    !macro_only || !eventcomp_only || !micro_only || !topo_only
-  in
-  let do_tables = !tables && not exclusive in
-  let do_micro = !perf && not exclusive in
-  let do_macro =
-    (!macro_only || (!tables && !perf))
-    && not (!eventcomp_only || !micro_only || !topo_only)
-  in
-  let do_eventcomp = !eventcomp_only in
-  let do_primitives = !micro_only in
-  let do_topo = !topo_only in
   let opts = { Tables.horizon; seed = !seed; seeds = !seeds; jobs } in
   let run_opts =
     {
@@ -259,111 +182,32 @@ let () =
   Printf.printf
     "Wireless fair scheduling benchmarks (horizon=%d slots, seed=%d, seeds=%d, jobs=%d)\n"
     horizon !seed !seeds jobs;
-  let failed = ref false in
-  let acc_tables = ref [] in
-  let acc_runs = ref 0 in
-  let acc_slots = ref 0 in
-  let acc_wall = ref 0. in
-  let ran_any = ref false in
-  if do_tables then begin
-    let t0 = Unix.gettimeofday () in
+  let t0 = Unix.gettimeofday () in
+  let artifact_tables, stats, failures =
     match Tables.all ~run_opts ~opts () with
+    | r -> r
     | exception Wfs_util.Error.Error e ->
         Printf.eprintf "error: %s\n" (Wfs_util.Error.to_string e);
         exit 2
-    | artifact_tables, stats, failures -> (
-        let wall_clock_s = Unix.gettimeofday () -. t0 in
-        acc_tables := artifact_tables;
-        acc_runs := stats.Runs.runs;
-        acc_slots := stats.Runs.slots;
-        acc_wall := wall_clock_s;
-        ran_any := true;
-        Printf.printf
-          "\n%d runs, %d slots in %.2f s (%.0f slots/s, %d domain(s))\n"
-          stats.Runs.runs stats.Runs.slots wall_clock_s
-          (if wall_clock_s > 0. then float_of_int stats.Runs.slots /. wall_clock_s
-           else 0.)
-          jobs;
-        match failures with
-        | [] -> ()
-        | failures ->
-            failed := true;
-            Printf.printf "\n=== Failed jobs (%d) ===\n" (List.length failures);
-            List.iter
-              (fun { Runs.key; error } ->
-                Printf.printf "  %s\n    %s\n" key
-                  (Wfs_util.Error.to_string error))
-              failures)
+  in
+  let wall_clock_s = Unix.gettimeofday () -. t0 in
+  Printf.printf "\n%d runs, %d slots in %.2f s (%.0f slots/s, %d domain(s))\n"
+    stats.Runs.runs stats.Runs.slots wall_clock_s
+    (if wall_clock_s > 0. then float_of_int stats.Runs.slots /. wall_clock_s
+     else 0.)
+    jobs;
+  if not (List.is_empty failures) then begin
+    Printf.printf "\n=== Failed jobs (%d) ===\n" (List.length failures);
+    List.iter
+      (fun { Runs.key; error } ->
+        Printf.printf "  %s\n    %s\n" key (Wfs_util.Error.to_string error))
+      failures
   end;
-  if do_macro then begin
-    Printf.printf "\n=== Macro-benchmark (horizon=%d slots, seed=%d) ===\n\n"
-      macro_horizon !seed;
-    (* [wall] is summed inside Perf over the timed Simulator.run calls
-       only, so the reported slots/s excludes table/JSON serialization. *)
-    let table, runs, slots, wall =
-      Perf.macro_table ~horizon:macro_horizon ~seed:!seed ()
-    in
-    acc_tables := !acc_tables @ [ table ];
-    acc_runs := !acc_runs + runs;
-    acc_slots := !acc_slots + slots;
-    acc_wall := !acc_wall +. wall;
-    ran_any := true;
-    Printf.printf
-      "\n%d macro runs, %d slots in %.2f s run-loop (%.0f slots/s, \
-       serialization excluded)\n"
-      runs slots wall
-      (if wall > 0. then float_of_int slots /. wall else 0.)
-  end;
-  if do_eventcomp then begin
-    Printf.printf
-      "\n=== Event-compression macro-benchmark (horizon=%d slots, seed=%d) \
-       ===\n\n"
-      macro_horizon !seed;
-    match Perf.eventcomp_table ~horizon:macro_horizon ~seed:!seed () with
-    | exception Wfs_util.Error.Error e ->
-        Printf.eprintf "error: %s\n" (Wfs_util.Error.to_string e);
-        exit 2
-    | table, runs, slots, wall ->
-        acc_tables := !acc_tables @ [ table ];
-        acc_runs := !acc_runs + runs;
-        acc_slots := !acc_slots + slots;
-        acc_wall := !acc_wall +. wall;
-        ran_any := true;
-        Printf.printf
-          "\n%d eventcomp runs, %d slots in %.2f s run-loop (%.0f slots/s, \
-           serialization excluded)\n"
-          runs slots wall
-          (if wall > 0. then float_of_int slots /. wall else 0.)
-  end;
-  if do_topo then begin
-    Printf.printf
-      "\n=== Topology macro-benchmark (horizon=%d slots, seed=%d, jobs=%d) \
-       ===\n\n"
-      macro_horizon !seed jobs;
-    let table, runs, slots, wall =
-      match
-        Perf.topo_table ~jobs ~horizon:macro_horizon ~seed:!seed
-          ?faults:!topo_faults ()
-      with
-      | r -> r
-      | exception Wfs_util.Error.Error e ->
-          Printf.eprintf "error: %s\n" (Wfs_util.Error.to_string e);
-          exit 2
-    in
-    acc_tables := !acc_tables @ [ table ];
-    acc_runs := !acc_runs + runs;
-    acc_slots := !acc_slots + slots;
-    acc_wall := !acc_wall +. wall;
-    ran_any := true;
-    Printf.printf "\n%d topology runs, %d cell-slots in %.2f s run-loop\n"
-      runs slots wall
-  end;
-  if !write_json && !ran_any then begin
+  if !write_json then begin
     let artifact =
-      Wfs_runner.Artifact.v
-        ~horizon:(if do_tables then horizon else macro_horizon)
-        ~seed:!seed ~seeds:!seeds ~jobs ~runs:!acc_runs ~slots:!acc_slots
-        ~wall_clock_s:!acc_wall ~tables:!acc_tables
+      Wfs_runner.Artifact.v ~horizon ~seed:!seed ~seeds:!seeds ~jobs
+        ~runs:stats.Runs.runs ~slots:stats.Runs.slots ~wall_clock_s
+        ~tables:artifact_tables
     in
     let path =
       match !json_path with
@@ -380,15 +224,7 @@ let () =
   if !profile then begin
     Printf.printf
       "\n=== Profile dashboard (Example 2, SwapA-P, horizon=%d slots) ===\n\n"
-      macro_horizon;
-    profile_dashboard ~horizon:macro_horizon ~seed:!seed
+      horizon;
+    profile_dashboard ~horizon ~seed:!seed
   end;
-  if !failed then exit 3;
-  if do_primitives then begin
-    Printf.printf "\n=== Fast-path primitives micro-benchmarks ===\n\n";
-    Perf.run_primitives ()
-  end;
-  if do_micro then begin
-    Printf.printf "\n=== Micro-benchmarks ===\n\n";
-    Perf.run ()
-  end
+  if not (List.is_empty failures) then exit 3

@@ -7,7 +7,7 @@
    is recognized by its schema tag; sections render in argument order.
 
    Examples:
-     wfs_report bench/baselines/BENCH_macro_eventcomp.json
+     wfs_report metrics.json bench.json
      wfs_report topo.jsonl flows.jsonl win.jsonl --html dashboard.html
      wfs_report cell.jsonl faults.jsonl *)
 

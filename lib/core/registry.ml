@@ -10,15 +10,46 @@ type entry = {
     Wireless_sched.instance;
 }
 
-include (
-  Wfs_util.Registry_intf.Make (struct
-    type t = entry
+module Error = Wfs_util.Error
 
-    let name e = e.name
-    let aliases e = e.aliases
-    let kind = "scheduler"
-  end) :
-    Wfs_util.Registry_intf.S with type entry := entry)
+let keys_of e = List.map String.lowercase_ascii (e.name :: e.aliases)
+
+(* Registration order is the presentation order (paper tables first), so
+   a plain list, scanned linearly, is the right structure — it also keeps
+   iteration deterministic, which a Hashtbl would not. *)
+let store : entry list ref = ref []
+
+let find name =
+  let key = String.lowercase_ascii name in
+  List.find_opt (fun e -> List.exists (String.equal key) (keys_of e)) !store
+
+let mem name = Option.is_some (find name)
+let names () = List.map (fun e -> e.name) !store
+let entries () = !store
+
+let register e =
+  List.iter
+    (fun key ->
+      if Option.is_some (find key) then
+        Error.invalidf "Registry.register" "%S is already registered" key)
+    (keys_of e);
+  store := !store @ [ e ]
+
+let get name =
+  match find name with
+  | Some e -> e
+  | None ->
+      Error.invalidf "Registry.get" "unknown scheduler %S (known: %s)" name
+        (String.concat ", " (names ()))
+
+let lookup name =
+  match find name with
+  | Some e -> Ok e
+  | None ->
+      Stdlib.Error
+        (Error.v Error.Bad_config ~who:"Registry.lookup"
+           (Printf.sprintf "unknown scheduler %S" name)
+           ~context:[ ("known", String.concat ", " (names ())) ])
 
 (* --- built-ins, from the Presets variants --- *)
 

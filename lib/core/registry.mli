@@ -8,10 +8,9 @@
     {!find}/{!get}, so adding a scheduler to the whole evaluation pipeline
     is one {!register} call.
 
-    Lookups are case-insensitive.  The store itself is generated by
-    {!Wfs_util.Registry_intf.Make}, so this registry and its wireline
-    mirror ({!Wfs_wireline.Registry}) share one alias/lookup/error
-    contract. *)
+    Entries keep registration order, which is the presentation and
+    enumeration order.  Lookups are case-insensitive over canonical names
+    and aliases. *)
 
 type entry = {
   name : string;  (** canonical table label, e.g. ["SwapA-P"] *)
@@ -30,11 +29,29 @@ type entry = {
           (Example 6's sweep) *)
 }
 
-include Wfs_util.Registry_intf.S with type entry := entry
-(** [register] / [find] / [lookup] / [get] / [mem] / [names] / [entries]
-    — the shared store contract.  [get] raises the historical
-    [Invalid_argument] on unknown names; [lookup] returns the typed
-    [Wfs_util.Error.t] (kind [Bad_config]) instead. *)
+val register : entry -> unit
+(** Append to the store.
+    @raise Invalid_argument when the name or an alias
+    (case-insensitively) collides with an existing registration. *)
+
+val find : string -> entry option
+(** Resolve a canonical name or alias, case-insensitively. *)
+
+val lookup : string -> (entry, Wfs_util.Error.t) result
+(** {!find} with a typed miss: unknown names become kind [Bad_config]
+    with the known names in the context.  Never raises. *)
+
+val get : string -> entry
+(** Like {!find}.
+    @raise Invalid_argument on an unknown name, listing the known ones. *)
+
+val mem : string -> bool
+
+val names : unit -> string list
+(** Canonical names in registration order. *)
+
+val entries : unit -> entry list
+(** All entries in registration order. *)
 
 val table1 : unit -> entry list
 (** The nine rows of the paper's Tables 1–4, in paper order. *)

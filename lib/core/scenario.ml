@@ -8,9 +8,17 @@ type t = {
   seed : int;
 }
 
-exception Parse_error of { line : int; message : string }
+let fail ~line fmt =
+  Printf.ksprintf
+    (Wfs_util.Error.bad_spec ~who:"Scenario.parse"
+       ~context:[ ("line", string_of_int line) ])
+    fmt
 
-let fail ~line fmt = Printf.ksprintf (fun message -> raise (Parse_error { line; message })) fmt
+(* Constructors check their own ranges (weight 0, a probability of 2) with
+   [Invalid_argument]; on a flow line that is a malformed file, so it
+   becomes the same typed error, carrying the line. *)
+let on_line ~line f =
+  try f () with Invalid_argument message -> fail ~line "%s" message
 
 let float_of ~line what s =
   match float_of_string_opt s with
@@ -190,12 +198,15 @@ let parse ?seed:seed_override ?horizon:horizon_override text =
     Array.of_list
       (List.mapi
          (fun id fl ->
-           let flow =
-             Params.flow ~id ~weight:fl.weight ~drop:fl.drop ?buffer:fl.buffer ()
-           in
-           let source = parse_source ~line:fl.line ~rng fl.source_spec in
-           let channel = parse_channel ~line:fl.line ~rng fl.channel_spec in
-           { Simulator.flow; source; channel })
+           let line = fl.line in
+           on_line ~line (fun () ->
+               let flow =
+                 Params.flow ~id ~weight:fl.weight ~drop:fl.drop
+                   ?buffer:fl.buffer ()
+               in
+               let source = parse_source ~line ~rng fl.source_spec in
+               let channel = parse_channel ~line ~rng fl.channel_spec in
+               { Simulator.flow; source; channel }))
          flow_lines)
   in
   let addrs =

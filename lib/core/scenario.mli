@@ -38,19 +38,19 @@ type t = {
   seed : int;
 }
 
-exception Parse_error of { line : int; message : string }
-
 val parse : ?seed:int -> ?horizon:int -> string -> t
 (** Parse scenario text.  Defaults: horizon 100000, seed 42, predictor
     one-step.  A [seed N] directive must precede the first [flow] line.
     The optional [seed]/[horizon] arguments override the file's directives
     (used by run specs, which carry their own seed and horizon).
-    @raise Parse_error with a line number on malformed input. *)
+    @raise Wfs_util.Error.Error of kind [Bad_spec] with a [line] context
+    entry on malformed input, including a value a constructor rejects
+    ([weight=0], [ge:2,0.1]). *)
 
 val load : ?seed:int -> ?horizon:int -> string -> t
 (** [load path] reads and parses a file, with the same overrides as
     {!parse}.
-    @raise Parse_error or [Sys_error]. *)
+    @raise Wfs_util.Error.Error as {!parse}, or [Sys_error]. *)
 
 val flows : t -> Params.flow array
 

@@ -7,19 +7,6 @@ let v ~horizon flows = Simulator.config ~horizon flows
 
 let with_predictor predictor (t : t) = { t with Simulator.predictor }
 
-let with_flows flows (t : t) =
-  (* Re-run the constructor so the new roster is validated like the old. *)
-  Simulator.config ~predictor:t.Simulator.predictor ?trace:t.Simulator.trace
-    ?observer:t.Simulator.observer ?slot_probe:t.Simulator.slot_probe
-    ?profiler:t.Simulator.profiler ~histograms:t.Simulator.histograms
-    ~invariants:t.Simulator.invariants ~fast_path:t.Simulator.fast_path
-    ?skip_stats:t.Simulator.skip_stats ~horizon:t.Simulator.horizon flows
-
-let with_horizon horizon (t : t) =
-  if horizon < 0 then
-    Wfs_util.Error.invalid "Sim_config.with_horizon" "negative horizon";
-  { t with Simulator.horizon }
-
 let with_trace trace (t : t) = { t with Simulator.trace = Some trace }
 let with_observer f (t : t) = { t with Simulator.observer = Some f }
 let with_probe probe (t : t) = { t with Simulator.slot_probe = Some probe }

@@ -30,13 +30,6 @@ val with_predictor : Wfs_channel.Predictor.kind -> t -> t
 (** Channel knowledge the scheduler runs with ([Perfect] / [One_step] /
     [Blind] / ...). *)
 
-val with_flows : Simulator.flow_setup array -> t -> t
-(** Replace the flow roster (re-validated).  Used by per-cell rebuilds
-    after a handoff changes cell membership. *)
-
-val with_horizon : int -> t -> t
-(** @raise Invalid_argument on a negative horizon. *)
-
 val with_trace : Tracelog.t -> t -> t
 val with_observer : (int -> Metrics.t -> unit) -> t -> t
 val with_probe : Simulator.slot_probe -> t -> t

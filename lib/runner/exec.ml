@@ -114,10 +114,6 @@ let run_outcome ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe
           ?profiler ?histograms ?invariants ?fast_path ?skip_stats spec
       with
       | metrics -> Ok metrics
-      | exception Core.Scenario.Parse_error { line; message } ->
-          Error
-            (Error.v Error.Bad_spec ~who:"Exec.run_outcome" message
-               ~context:(spec_context @ [ ("line", string_of_int line) ]))
       | exception exn ->
           let backtrace = Printexc.get_raw_backtrace () in
           Error

@@ -13,7 +13,8 @@ val setups_of : Spec.t -> Wfs_core.Simulator.flow_setup array
     spec seed), freshly built — sources and channels are stateful, so each
     run needs its own.  Exposed for drivers that assemble a custom
     {!Wfs_core.Simulator.config} (e.g. to attach a fairness monitor).
-    @raise Wfs_core.Scenario.Parse_error / [Sys_error] on a bad file *)
+    @raise Wfs_util.Error.Error (kind [Bad_spec]) / [Sys_error] on a bad
+    file *)
 
 val run :
   ?credit_limit:int ->
@@ -46,7 +47,8 @@ val run :
     spec carries a topology clause — a multi-cell spec describes a
     [Wfs_topo.Topology] run, not a single-scheduler one; route it
     through [Wfs_topo.Topology.of_spec]
-    @raise Wfs_core.Scenario.Parse_error / [Sys_error] on a bad file
+    @raise Wfs_util.Error.Error (kind [Bad_spec]) / [Sys_error] on a bad
+    file
     @raise Wfs_util.Error.Error (kind [Invariant_violation]) when
     [invariants] is on and a monitor fires *)
 

@@ -128,7 +128,8 @@ val of_scenario_file : ?sched:string -> string -> t
 (** [of_scenario_file path] parses the scenario file and lifts it into a
     spec, taking seed and horizon from the file's directives (their
     defaults when absent).  [sched] defaults to ["WPS"].
-    @raise Wfs_core.Scenario.Parse_error or [Sys_error]. *)
+    @raise Wfs_util.Error.Error (kind [Bad_spec]) on a malformed file, or
+    [Sys_error]. *)
 
 (** {1 Serialization} *)
 

@@ -66,10 +66,9 @@ val pp : Format.formatter -> t -> unit
 val of_exn : ?who:string -> ?backtrace:Printexc.raw_backtrace -> exn -> t
 (** Classify an arbitrary exception: {!Error} payloads pass through
     (gaining [who]/backtrace context), [Invalid_argument] becomes
-    [Bad_config], {!Wfs_core.Scenario.Parse_error}-style parse failures
-    and [Sys_error] become [Bad_spec] when recognizable, anything else
-    becomes [Sim_fault] carrying the exception text and (when given) the
-    raw backtrace in the context. *)
+    [Bad_config], [Sys_error] becomes [Bad_spec], anything else becomes
+    [Sim_fault] carrying the exception text and (when given) the raw
+    backtrace in the context. *)
 
 (** {1 Legacy [Invalid_argument] boundary}
 

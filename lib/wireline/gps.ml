@@ -142,10 +142,3 @@ let backlog t ~flow = t.backlog.(flow)
 let is_backlogged t ~flow = t.active.(flow)
 let backlogged_weight t = t.sum_active
 let departures t = List.rev t.departed
-
-let drain_departures t =
-  let out = List.rev t.departed in
-  t.departed <- [];
-  out
-
-let now t = t.t_last

@@ -51,9 +51,3 @@ val backlogged_weight : t -> float
 val departures : t -> departure list
 (** All fluid departures processed so far, in time order. *)
 
-val drain_departures : t -> departure list
-(** As {!departures} but clears the internal list (use for incremental
-    consumption). *)
-
-val now : t -> float
-(** Last advanced real time. *)

@@ -4,6 +4,3 @@ let make ~flow ~seq ~arrival ~size =
   if size <= 0. then Wfs_util.Error.invalid "Job.make" "size must be > 0";
   if arrival < 0. then Wfs_util.Error.invalid "Job.make" "negative arrival";
   { flow; seq; arrival; size }
-
-let pp ppf t =
-  Format.fprintf ppf "f%d#%d@%g(%g bits)" t.flow t.seq t.arrival t.size

@@ -5,5 +5,3 @@ type t = { flow : int; seq : int; arrival : float; size : float }
 
 val make : flow:int -> seq:int -> arrival:float -> size:float -> t
 (** @raise Invalid_argument on a non-positive size or negative arrival. *)
-
-val pp : Format.formatter -> t -> unit

@@ -3,21 +3,18 @@ type tagged = { job : Job.t; finish : float }
 type t = {
   gps : Gps.t;
   heap : tagged Wfs_util.Heap.t;  (* ordered by finish tag *)
-  tags : (int * int, float) Hashtbl.t;  (* (flow, seq) -> finish *)
 }
 
 let create ~capacity flows =
   {
     gps = Gps.create ~capacity flows;
     heap = Wfs_util.Heap.create ~leq:(fun a b -> a.finish <= b.finish) ();
-    tags = Hashtbl.create 64;
   }
 
 let enqueue t (job : Job.t) =
   let _start, finish =
     Gps.arrive t.gps ~time:job.arrival ~flow:job.flow ~size:job.size
   in
-  Hashtbl.replace t.tags (job.flow, job.seq) finish;
   Wfs_util.Heap.push t.heap { job; finish }
 
 let dequeue t ~time =
@@ -27,11 +24,6 @@ let dequeue t ~time =
   | Some { job; _ } -> Some job
 
 let queued t = Wfs_util.Heap.length t.heap
-
-let finish_tag t (job : Job.t) =
-  match Hashtbl.find_opt t.tags (job.flow, job.seq) with
-  | Some f -> f
-  | None -> raise Not_found
 
 let gps t = t.gps
 

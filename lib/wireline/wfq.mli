@@ -13,10 +13,6 @@ val enqueue : t -> Job.t -> unit
 val dequeue : t -> time:float -> Job.t option
 val queued : t -> int
 
-val finish_tag : t -> Job.t -> float
-(** Finish tag assigned at enqueue.
-    @raise Not_found for a job never enqueued. *)
-
 val gps : t -> Gps.t
 (** The internal fluid reference (shared arrivals), exposed so tests can
     compare packetized and fluid behaviour on identical inputs. *)

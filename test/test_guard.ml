@@ -132,6 +132,24 @@ let test_run_outcome_classifies () =
           check_bool "parse error is bad-spec" true
             (e.Error.kind = Error.Bad_spec))
 
+(* A run spec naming a malformed scenario file, run the way the CLIs run
+   specs (the pool's exception capture, not [run_outcome]): the failure is
+   the file's own typed error with its line, not a worker crash. *)
+let test_file_spec_bad_scenario () =
+  with_temp_file ~suffix:".scenario" (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc "horizon 100\nflow source=cbr:2 channel=gx:1\n");
+      let spec =
+        Spec.of_string_exn
+          (Printf.sprintf "file:%s | SwapA-P | seed=1 | horizon=100" path)
+      in
+      match Pool.map_outcomes ~jobs:1 (fun sp -> Ok (Exec.run sp)) [| spec |] with
+      | [| Error e |] ->
+          check_bool "malformed file is bad-spec" true
+            (e.Error.kind = Error.Bad_spec);
+          check_str "line recorded" "2" (List.assoc "line" e.Error.context)
+      | _ -> Alcotest.fail "malformed scenario accepted")
+
 (* --- journal checkpoint/resume --- *)
 
 let params = [ ("horizon", Json.Int 1000); ("seed", Json.Int 7) ]
@@ -551,6 +569,61 @@ let fuzz_json_mutated_documents =
       | Ok _ | Error _ -> true
       | exception _ -> false)
 
+(* Scenario text assembled from flow lines whose values are drawn from
+   in-range and out-of-range choices (a weight of 0, a probability of 2, a
+   negative limit), so most cases get past the syntax and reach a
+   constructor's own range check.  Every case must parse or fail as a
+   [Bad_spec] that names its line. *)
+let gen_scenario =
+  let open QCheck.Gen in
+  let int = oneofl [ "1"; "3"; "0"; "-1" ] in
+  let num = oneofl [ "1"; "0.5"; "0.1"; "0"; "-1"; "2"; "nan"; "x" ] in
+  let pair a b = map2 (fun a b -> a ^ "," ^ b) a b in
+  let spec kinds = oneof (List.map (fun (k, v) -> map (( ^ ) k) v) kinds) in
+  let attr key v = opt (map (( ^ ) (key ^ "=")) v) in
+  let flow =
+    map
+      (fun attrs -> String.concat " " ("flow" :: List.filter_map Fun.id attrs))
+      (flatten_l
+         [
+           attr "weight" num;
+           attr "drop"
+             (spec
+                [
+                  ("retx:", int); ("delay:", int); ("retx-delay:", pair int int);
+                  ("none", return "");
+                ]);
+           attr "buffer" int;
+           map Option.some
+             (spec
+                [
+                  ("cbr:", num); ("poisson:", num); ("mmpp:", num);
+                  ("onoff:", pair num num); ("pareto:", pair num num);
+                ]);
+           map Option.some
+             (spec
+                [
+                  ("ge:", pair num num); ("bernoulli:", num);
+                  ("badburst:", pair int int);
+                  ("good", return "");
+                ]);
+         ])
+  in
+  map
+    (fun flows -> String.concat "\n" ("horizon 100" :: flows))
+    (list_size (1 -- 4) flow)
+
+let fuzz_scenario_typed_errors =
+  QCheck.Test.make ~count:1000
+    ~name:"Scenario.parse fails only as a located Bad_spec"
+    (QCheck.make ~print:Fun.id gen_scenario)
+    (fun text ->
+      match Core.Scenario.parse text with
+      | _ -> true
+      | exception Error.Error { kind = Error.Bad_spec; context; _ } ->
+          List.mem_assoc "line" context
+      | exception _ -> false)
+
 let suite =
   [
     ("crash loses only that job", `Quick, test_crash_loses_only_that_job);
@@ -559,6 +632,7 @@ let suite =
     ("notify fires once per item", `Quick, test_notify_fires_once_per_item);
     ("spec parse is typed", `Quick, test_spec_parse_typed);
     ("run_outcome classifies failures", `Quick, test_run_outcome_classifies);
+    ("file spec of a malformed scenario", `Quick, test_file_spec_bad_scenario);
     ("journal round-trip", `Quick, test_journal_roundtrip);
     ("journal truncated tail dropped", `Quick, test_journal_truncated_tail_dropped);
     ("journal mid-file corruption rejected", `Quick,
@@ -586,4 +660,5 @@ let suite =
     QCheck_alcotest.to_alcotest fuzz_spec_parse_never_raises;
     QCheck_alcotest.to_alcotest fuzz_json_never_raises;
     QCheck_alcotest.to_alcotest fuzz_json_mutated_documents;
+    QCheck_alcotest.to_alcotest fuzz_scenario_typed_errors;
   ]

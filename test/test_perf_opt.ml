@@ -1159,6 +1159,86 @@ let test_topo_fast_jobs_identity () =
         (render ~fast:true ~jobs))
     [ 1; 2; 4 ]
 
+(* Every registry scheduler in cells shaped for the fast path: the active
+   flows carry Poisson traffic over bursty Gilbert-Elliott channels with a
+   retransmission limit of 3, the rest are provisioned but silent
+   ([Arrival.never] over an error-free channel).  Each (scheduler, flows,
+   tier) cell must give the reference loop's metrics on the fast path,
+   with and without a [Skip_stats] collector, and a scheduler that
+   publishes [quiescent] must never step a slot on the reference loop. *)
+let sweep_tiers = [ (0.9, 8); (0.05, 8); (0.05, 2) ]
+
+let sweep_setups ~load ~active_cap ~n_flows ~seed =
+  let active = min n_flows active_cap in
+  let rate = load /. float_of_int active in
+  Array.init n_flows (fun id ->
+      let flow =
+        Core.Params.flow ~id ~weight:1. ~drop:(Core.Params.Retx_limit 3) ()
+      in
+      if id < active then
+        {
+          Core.Simulator.flow;
+          source =
+            Wfs_traffic.Poisson.create
+              ~rng:(Rng.create (seed + (1000 * id) + 1))
+              ~rate;
+          channel =
+            Wfs_channel.Gilbert_elliott.of_burstiness
+              ~rng:(Rng.create (seed + (1000 * id) + 2))
+              ~good_prob:0.9 ~sum:0.1 ();
+        }
+      else
+        {
+          Core.Simulator.flow;
+          source = Wfs_traffic.Arrival.never ();
+          channel = Wfs_channel.Error_free.create ();
+        })
+
+let test_fast_path_registry_sweep () =
+  let horizon = 2_000 and seed = 42 in
+  let run (entry : Core.Registry.entry) ~load ~active_cap ~n_flows ~fast ?skip
+      () =
+    let setups = sweep_setups ~load ~active_cap ~n_flows ~seed in
+    let sched = entry.make (Core.Presets.flows_of setups) in
+    let cfg =
+      Core.Sim_config.v ~horizon setups
+      |> Core.Sim_config.with_predictor entry.predictor
+      |> Core.Sim_config.with_fast_path fast
+    in
+    let cfg =
+      match skip with
+      | Some k -> Core.Sim_config.with_skip_stats k cfg
+      | None -> cfg
+    in
+    (metrics_fingerprint (Core.Sim_config.run sched cfg), sched)
+  in
+  List.iter
+    (fun (entry : Core.Registry.entry) ->
+      List.iter
+        (fun (load, active_cap) ->
+          List.iter
+            (fun n_flows ->
+              let run = run entry ~load ~active_cap ~n_flows in
+              let label =
+                Printf.sprintf "%s flows=%d load=%.2f active=%d" entry.name
+                  n_flows load active_cap
+              in
+              let reference, _ = run ~fast:false () in
+              let fast, _ = run ~fast:true () in
+              Alcotest.(check string) (label ^ " fast") reference fast;
+              let skip = Core.Skip_stats.create () in
+              let skipped, sched = run ~fast:true ~skip () in
+              Alcotest.(check string) (label ^ " fast+skip") reference skipped;
+              if Option.is_some sched.Core.Wireless_sched.quiescent then begin
+                check_bool (label ^ " compressed") true
+                  (Core.Skip_stats.compressed skip);
+                check_int (label ^ " reference slots") 0
+                  (Core.Skip_stats.reference_slots skip)
+              end)
+            [ 2; 16; 64; 256 ])
+        sweep_tiers)
+    (Core.Registry.entries ())
+
 (* --- The packet store: rings inside the four wireless schedulers --- *)
 
 let store_scheds = [ "IWFQ-P"; "SwapA-P"; "CIF-Q-P"; "CSDPS" ]
@@ -1429,4 +1509,6 @@ let suite =
       test_fast_path_probed_degenerates;
     Alcotest.test_case "topo+faults fast path identity" `Quick
       test_topo_fast_jobs_identity;
+    Alcotest.test_case "fast path registry sweep" `Quick
+      test_fast_path_registry_sweep;
   ]

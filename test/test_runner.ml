@@ -347,24 +347,6 @@ let test_registry_predictors () =
   check_bool "blind WRR is blind" true
     (kind "Blind WRR" = Wfs_channel.Predictor.Blind)
 
-let test_wireline_registry () =
-  check_str "VC alias" "VirtualClock"
-    (Wfs_wireline.Registry.get "VC").Wfs_wireline.Registry.name;
-  check_str "WF2Q unicode alias" "WF2Q"
-    (Wfs_wireline.Registry.get "WF\xc2\xb2Q").Wfs_wireline.Registry.name;
-  let flows = Wfs_wireline.Flow.of_weights [| 1.; 2. |] in
-  let instances = Wfs_wireline.Registry.instances ~capacity:1. flows in
-  check_int "eight wireline schedulers" 8 (List.length instances);
-  (* Instance names line up with registration order. *)
-  List.iter2
-    (fun name (inst : Wfs_wireline.Sched_intf.instance) ->
-      check_bool
-        (Printf.sprintf "%s constructs %s" name inst.Wfs_wireline.Sched_intf.name)
-        true
-        (String.length inst.Wfs_wireline.Sched_intf.name > 0))
-    (Wfs_wireline.Registry.names ())
-    instances
-
 let suite =
   [
     ("pool matches sequential", `Quick, test_pool_matches_sequential);
@@ -383,5 +365,4 @@ let suite =
     ("artifact schema check", `Quick, test_artifact_rejects_bad_schema);
     ("registry lookup", `Quick, test_registry_lookup);
     ("registry predictors", `Quick, test_registry_predictors);
-    ("wireline registry", `Quick, test_wireline_registry);
   ]

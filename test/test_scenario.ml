@@ -54,8 +54,8 @@ let test_parse_errors () =
   (* A few malformed inputs; each must raise with a useful message. *)
   let expect_error text =
     match S.parse text with
-    | exception S.Parse_error _ -> ()
-    | _ -> Alcotest.failf "expected Parse_error for %S" text
+    | exception Wfs_util.Error.Error { kind = Wfs_util.Error.Bad_spec; _ } -> ()
+    | _ -> Alcotest.failf "expected a bad-spec error for %S" text
   in
   expect_error "";
   expect_error "flow channel=good\n";
@@ -68,8 +68,10 @@ let test_parse_errors () =
 
 let test_parse_error_line_number () =
   match S.parse "horizon 10\n# fine\nflow source=cbr:2\n" with
-  | exception S.Parse_error { line; _ } -> check_int "line number" 3 line
-  | _ -> Alcotest.fail "expected Parse_error"
+  | exception Wfs_util.Error.Error { kind = Wfs_util.Error.Bad_spec; context; _ }
+    ->
+      check_int "line number" 3 (int_of_string (List.assoc "line" context))
+  | _ -> Alcotest.fail "expected a bad-spec error"
 
 let test_run_scenario () =
   let s = S.parse example_text in

@@ -1,5 +1,5 @@
-(* Tests for the wireline substrate: GPS fluid reference, WFQ/WF2Q tag
-   machinery and Lemma-1 bounds, SCFQ/STFQ/VC/WRR/DRR behaviour. *)
+(* Tests for the wireline oracles: GPS fluid reference, WFQ/WF2Q/WF2Q+ tag
+   machinery and Lemma-1 bounds. *)
 
 module Flow = Wfs_wireline.Flow
 module Job = Wfs_wireline.Job
@@ -220,9 +220,13 @@ let test_wf2q_lemma1_bound () =
         w)
     [ 0; 1; 2 ]
 
-(* The registry enumerates the whole wireline family; adding a scheduler
-   there picks it up in these comparative tests automatically. *)
-let all_instances flows = Wfs_wireline.Registry.instances ~capacity:1. flows
+(* The packetized GPS emulations the comparative tests run side by side. *)
+let all_instances flows =
+  [
+    Wfs_wireline.Wfq.instance ~capacity:1. flows;
+    Wfs_wireline.Wf2q.instance ~capacity:1. flows;
+    Wfs_wireline.Wf2q_plus.instance ~capacity:1. flows;
+  ]
 
 let test_all_schedulers_complete_everything () =
   let flows = Flow.of_weights [| 1.; 2. |] in
@@ -273,108 +277,6 @@ let test_throughput_fair_shares () =
         (abs_float (get 0 -. get 2) < 6.))
     (all_instances flows)
 
-let test_scfq_virtual_time_follows_service () =
-  let flows = Flow.equal_weights 2 in
-  let s = Wfs_wireline.Scfq.create ~capacity:1. flows in
-  Wfs_wireline.Scfq.enqueue s (job ~flow:0 ~seq:0 ~arrival:0. ());
-  Alcotest.(check (float 1e-9)) "v starts 0" 0. (Wfs_wireline.Scfq.virtual_time s);
-  ignore (Wfs_wireline.Scfq.dequeue s ~time:0.);
-  Alcotest.(check (float 1e-9)) "v = finish of served" 1.
-    (Wfs_wireline.Scfq.virtual_time s)
-
-let test_stfq_orders_by_start_tag () =
-  let flows = Flow.of_weights [| 1.; 10. |] in
-  let s = Wfs_wireline.Stfq.create ~capacity:1. flows in
-  (* Both arrive at v=0: starts are 0 and 0; flow1's second packet starts at
-     0.1 while flow0's second starts at 1.0. *)
-  Wfs_wireline.Stfq.enqueue s (job ~flow:0 ~seq:0 ~arrival:0. ());
-  Wfs_wireline.Stfq.enqueue s (job ~flow:0 ~seq:1 ~arrival:0. ());
-  Wfs_wireline.Stfq.enqueue s (job ~flow:1 ~seq:0 ~arrival:0. ());
-  Wfs_wireline.Stfq.enqueue s (job ~flow:1 ~seq:1 ~arrival:0. ());
-  let order =
-    List.init 4 (fun _ ->
-        let j = Option.get (Wfs_wireline.Stfq.dequeue s ~time:0.) in
-        j.Job.flow)
-  in
-  (* start tags: f0#0=0, f1#0=0 (tie->finish: f1 smaller), f1#1=0.1, f0#1=1 *)
-  Alcotest.(check (list int)) "start-tag order" [ 1; 0; 1; 0 ] order
-
-let test_virtual_clock_punishes_bursts () =
-  (* A flow that was idle keeps its clock at real time; a flow that ran
-     ahead accumulated clock and now loses. *)
-  let flows = Flow.equal_weights 2 in
-  let vc = Wfs_wireline.Virtual_clock.create ~capacity:1. flows in
-  (* flow0 sends 5 packets back to back at t=0 (clock runs to 5). *)
-  for seq = 0 to 4 do
-    Wfs_wireline.Virtual_clock.enqueue vc (job ~flow:0 ~seq ~arrival:0. ())
-  done;
-  Alcotest.(check (float 1e-9)) "clock ahead" 5.
-    (Wfs_wireline.Virtual_clock.clock vc ~flow:0);
-  (* flow1 arrives at t=2 with clock max(2,0)+1=3 < flow0's pending 4,5. *)
-  Wfs_wireline.Virtual_clock.enqueue vc (job ~flow:1 ~seq:0 ~arrival:2. ());
-  ignore (Wfs_wireline.Virtual_clock.dequeue vc ~time:2.);
-  ignore (Wfs_wireline.Virtual_clock.dequeue vc ~time:2.);
-  ignore (Wfs_wireline.Virtual_clock.dequeue vc ~time:2.);
-  let j4 = Option.get (Wfs_wireline.Virtual_clock.dequeue vc ~time:3.) in
-  check_int "newcomer preempts backlogged clock" 1 j4.Job.flow
-
-let test_wrr_round_structure () =
-  let flows = Flow.of_weights [| 2.; 1. |] in
-  let w = Wfs_wireline.Wrr.create ~capacity:1. flows in
-  for seq = 0 to 5 do
-    Wfs_wireline.Wrr.enqueue w (job ~flow:0 ~seq ~arrival:0. ());
-    Wfs_wireline.Wrr.enqueue w (job ~flow:1 ~seq ~arrival:0. ())
-  done;
-  let order =
-    List.init 6 (fun _ -> (Option.get (Wfs_wireline.Wrr.dequeue w ~time:0.)).Job.flow)
-  in
-  Alcotest.(check (list int)) "2:1 rounds" [ 0; 0; 1; 0; 0; 1 ] order
-
-let test_wrr_skips_empty () =
-  let flows = Flow.equal_weights 3 in
-  let w = Wfs_wireline.Wrr.create ~capacity:1. flows in
-  Wfs_wireline.Wrr.enqueue w (job ~flow:2 ~seq:0 ~arrival:0. ());
-  let j = Option.get (Wfs_wireline.Wrr.dequeue w ~time:0.) in
-  check_int "work conserving skip" 2 j.Job.flow;
-  check_bool "then empty" true
-    (Option.is_none (Wfs_wireline.Wrr.dequeue w ~time:0.))
-
-let test_drr_variable_sizes () =
-  (* DRR with quantum 1: a size-2.5 packet waits ~3 rounds while size-1
-     packets of the other flow flow through. *)
-  let flows = Flow.equal_weights 2 in
-  let d = Wfs_wireline.Drr.create ~quantum:1. ~capacity:1. flows in
-  Wfs_wireline.Drr.enqueue d (Job.make ~flow:0 ~seq:0 ~arrival:0. ~size:2.5);
-  for seq = 0 to 3 do
-    Wfs_wireline.Drr.enqueue d (job ~flow:1 ~seq ~arrival:0. ())
-  done;
-  let order =
-    List.init 5 (fun _ -> (Option.get (Wfs_wireline.Drr.dequeue d ~time:0.)).Job.flow)
-  in
-  (* Flow 0 needs 3 quanta before its big packet goes out. *)
-  check_int "big packet served exactly once" 1
-    (List.length (List.filter (fun f -> f = 0) order));
-  check_bool "big packet not first" true (List.hd order = 1)
-
-let test_drr_byte_fairness () =
-  (* Long-run byte shares equal despite different packet sizes. *)
-  let flows = Flow.equal_weights 2 in
-  let jobs =
-    List.concat
-      (List.init 200 (fun seq ->
-           [
-             Job.make ~flow:0 ~seq ~arrival:0. ~size:2.;
-             Job.make ~flow:1 ~seq:(2 * seq) ~arrival:0. ~size:1.;
-             Job.make ~flow:1 ~seq:((2 * seq) + 1) ~arrival:0. ~size:1.;
-           ]))
-  in
-  let completions =
-    Server.run ~capacity:1. (Wfs_wireline.Drr.instance ~capacity:1. flows) jobs
-  in
-  let served = Server.throughput_by_flow completions ~until:300. in
-  check_bool "byte-equal shares" true
-    (abs_float (List.assoc 0 served -. List.assoc 1 served) < 8.)
-
 let test_wfq_isolates_well_behaved_flow () =
   (* The separation property the paper leans on: a flow that floods the
      queue cannot degrade a conforming CBR flow's delay under WFQ beyond
@@ -393,29 +295,6 @@ let test_wfq_isolates_well_behaved_flow () =
         check_bool "conforming flow delay bounded" true
           (c.Server.finish -. c.Server.job.Job.arrival <= 3. +. 1e-6))
     completions
-
-let test_scfq_stfq_bounded_unfairness () =
-  (* SCFQ and STFQ track WFQ's long-run shares even though their virtual
-     times are self-clocked: saturated 1:2 flows split 1/3 : 2/3. *)
-  let flows = Flow.of_weights [| 1.; 2. |] in
-  let jobs =
-    List.concat
-      (List.init 300 (fun seq ->
-           [ job ~flow:0 ~seq ~arrival:0. (); job ~flow:1 ~seq ~arrival:0. () ]))
-  in
-  List.iter
-    (fun instance ->
-      let completions = Server.run ~capacity:1. instance jobs in
-      let served = Server.throughput_by_flow completions ~until:300. in
-      let share = List.assoc 1 served /. (List.assoc 0 served +. List.assoc 1 served) in
-      check_bool
-        (instance.Wfs_wireline.Sched_intf.name ^ " 2/3 share")
-        true
-        (abs_float (share -. (2. /. 3.)) < 0.02))
-    [
-      Wfs_wireline.Scfq.instance ~capacity:1. flows;
-      Wfs_wireline.Stfq.instance ~capacity:1. flows;
-    ]
 
 let test_delays_by_flow_helper () =
   let flows = Flow.equal_weights 1 in
@@ -478,14 +357,6 @@ let suite =
     ("all schedulers complete", `Quick, test_all_schedulers_complete_everything);
     ("all schedulers work-conserving", `Quick, test_all_schedulers_work_conserving);
     ("fair throughput shares", `Quick, test_throughput_fair_shares);
-    ("scfq virtual time", `Quick, test_scfq_virtual_time_follows_service);
-    ("stfq start-tag order", `Quick, test_stfq_orders_by_start_tag);
-    ("virtual clock punishes bursts", `Quick, test_virtual_clock_punishes_bursts);
-    ("wrr round structure", `Quick, test_wrr_round_structure);
-    ("wrr skips empty", `Quick, test_wrr_skips_empty);
-    ("drr variable sizes", `Quick, test_drr_variable_sizes);
-    ("drr byte fairness", `Quick, test_drr_byte_fairness);
     ("wfq isolates conforming flow", `Quick, test_wfq_isolates_well_behaved_flow);
-    ("scfq/stfq long-run shares", `Quick, test_scfq_stfq_bounded_unfairness);
     ("delays_by_flow helper", `Quick, test_delays_by_flow_helper);
   ]

@@ -657,9 +657,9 @@ let rec walk_structure ctx u ~mpath str =
                 vb.vb_pat)
             vbs
       | Tstr_include incl ->
-          (* Values bound by [include] (e.g. a registry functor's
-             [register]) are toplevel values of this unit; qualify them so
-             in-unit Pident references resolve to the unit path. *)
+          (* Values bound by [include] (e.g. of a functor application)
+             are toplevel values of this unit; qualify them so in-unit
+             Pident references resolve to the unit path. *)
           List.iter
             (fun (si : Types.signature_item) ->
               match si with
