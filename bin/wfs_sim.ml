@@ -987,10 +987,11 @@ let main_checked example seed horizon sum credit debit csv fairness algo info
         let algorithms = resolve_algorithms algo info in
         match scenario with
         | Some path ->
-            (* Seed and horizon come from the file's directives, as before. *)
+            (* An explicit -s/-n overrides the file's directive. *)
             let labeled =
               List.map
-                (fun name -> (name, Spec.of_scenario_file ~sched:name path))
+                (fun name ->
+                  (name, Spec.of_scenario_file ~sched:name ?seed ?horizon path))
                 algorithms
             in
             let sp = snd (List.hd labeled) in
@@ -999,6 +1000,8 @@ let main_checked example seed horizon sum credit debit csv fairness algo info
               0,
               labeled )
         | None ->
+            let seed = Option.value seed ~default:Spec.default_seed in
+            let horizon = Option.value horizon ~default:Spec.default_horizon in
             let scn =
               Spec.example ?sum:(if example <= 2 then Some sum else None) example
             in
@@ -1092,13 +1095,27 @@ open Cmdliner
 let example_arg =
   Arg.(value & opt int 1 & info [ "e"; "example" ] ~doc:"Paper example (1-6).")
 
-let seed_arg = Arg.(value & opt int 42 & info [ "s"; "seed" ] ~doc:"PRNG seed.")
+let seed_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "s"; "seed" ]
+        ~doc:
+          (Printf.sprintf
+             "PRNG seed (default %d).  Overrides a $(b,--scenario) file's \
+              seed directive."
+             Spec.default_seed))
 
 let horizon_arg =
   Arg.(
     value
-    & opt int Spec.default_horizon
-    & info [ "n"; "horizon" ] ~doc:"Slots to simulate.")
+    & opt (some int) None
+    & info [ "n"; "horizon" ]
+        ~doc:
+          (Printf.sprintf
+             "Slots to simulate (default %d).  Overrides a $(b,--scenario) \
+              file's horizon directive."
+             Spec.default_horizon))
 
 let sum_arg =
   Arg.(

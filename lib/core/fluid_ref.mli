@@ -10,14 +10,23 @@
 
     The system virtual time [v(t)] advances with slope [C / Σ_{i∈B(t)} r_i]
     during fluid busy periods and is constant when idle; IWFQ stamps
-    arriving packets with [v] at their arrival instant. *)
+    arriving packets with [v] at their arrival instant.
+
+    The reference keeps the backlogged set [B(t)] — the flows whose fluid
+    backlog exceeds the drain epsilon — in ascending flow id, so its cost
+    follows the backlogged flows, not the flow count: {!step} costs
+    O(|B| · passes) (one water-filling pass per flow that drains mid-slot,
+    plus one), {!is_busy} O(1), and {!add_arrivals} O(|B|) when it adds a
+    flow to the set.  Every pass sums weights, takes the drain minimum and
+    serves flows in ascending id, the order of a scan over all flows that
+    skips the idle ones; that order is the contract that keeps virtual
+    times, service and everything derived from them bit-identical, since
+    float sums round differently in another order. *)
 
 type t
 
 val create : ?capacity:float -> weights:float array -> unit -> t
 (** [capacity] in packets per slot, default 1.  Weights must be positive. *)
-
-val n_flows : t -> int
 
 val add_arrivals : t -> flow:int -> count:int -> unit
 (** Register [count] packet arrivals at the current instant (the start of
@@ -28,13 +37,13 @@ val virtual_time : t -> float
 (** [v] at the current instant. *)
 
 val step : t -> unit
-(** Advance one slot of fluid service. *)
+(** Advance one slot of fluid service: O(|B|) per water-filling pass. *)
 
 val is_busy : t -> bool
 (** [true] iff some flow has fluid backlog above the drain epsilon — the
     exact predicate {!step}'s water-filling uses to decide whether a slot
     does any work.  When [false] (and no arrivals intervene), a step only
-    increments the slot counter. *)
+    increments the slot counter.  O(1): the backlogged set is non-empty. *)
 
 val skip_idle : t -> slots:int -> unit
 (** Advance the slot counter by [slots] without serving anything.
@@ -50,6 +59,3 @@ val queue : t -> flow:int -> float
 
 val service : t -> flow:int -> float
 (** Cumulative fluid service granted to [flow], in packets. *)
-
-val is_backlogged : t -> flow:int -> bool
-val backlogged_weight : t -> float

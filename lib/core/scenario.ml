@@ -85,14 +85,20 @@ let parse_channel ~line ~rng s =
         ~length:(int_of ~line "badburst length" len)
   | _ -> fail ~line "unknown channel %S" s
 
+(* The predictor is built per run, long after parsing; building one here
+   puts its range check (a snoop period of 0) on the directive's line. *)
 let parse_predictor ~line s =
-  match split_spec s with
-  | "one-step", [] -> Wfs_channel.Predictor.One_step
-  | "perfect", [] -> Wfs_channel.Predictor.Perfect
-  | "blind", [] -> Wfs_channel.Predictor.Blind
-  | "snoop", [ k ] ->
-      Wfs_channel.Predictor.Periodic_snoop (int_of ~line "snoop period" k)
-  | _ -> fail ~line "unknown predictor %S" s
+  let kind =
+    match split_spec s with
+    | "one-step", [] -> Wfs_channel.Predictor.One_step
+    | "perfect", [] -> Wfs_channel.Predictor.Perfect
+    | "blind", [] -> Wfs_channel.Predictor.Blind
+    | "snoop", [ k ] ->
+        Wfs_channel.Predictor.Periodic_snoop (int_of ~line "snoop period" k)
+    | _ -> fail ~line "unknown predictor %S" s
+  in
+  on_line ~line (fun () -> ignore (Wfs_channel.Predictor.create kind));
+  kind
 
 type flow_line = {
   weight : float;
@@ -175,7 +181,9 @@ let parse ?seed:seed_override ?horizon:horizon_override text =
       let line = idx + 1 in
       match tokens_of (strip_comment raw) with
       | [] -> ()
-      | "horizon" :: [ n ] -> horizon := int_of ~line "horizon" n
+      | "horizon" :: [ n ] ->
+          horizon := int_of ~line "horizon" n;
+          if !horizon < 0 then fail ~line "horizon must be >= 0, got %d" !horizon
       | "seed" :: [ n ] ->
           if !seen_flow then
             fail ~line "seed must be set before the first flow";

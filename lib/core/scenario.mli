@@ -45,7 +45,8 @@ val parse : ?seed:int -> ?horizon:int -> string -> t
     (used by run specs, which carry their own seed and horizon).
     @raise Wfs_util.Error.Error of kind [Bad_spec] with a [line] context
     entry on malformed input, including a value a constructor rejects
-    ([weight=0], [ge:2,0.1]). *)
+    ([weight=0], [ge:2,0.1]) and an out-of-range directive ([horizon -5],
+    [predictor snoop:0]). *)
 
 val load : ?seed:int -> ?horizon:int -> string -> t
 (** [load path] reads and parses a file, with the same overrides as

@@ -82,10 +82,13 @@ let topo ~cells ~mobility ~epoch =
 
 let with_faults faults tp = { tp with faults = Some faults }
 
+let check_horizon who horizon =
+  if horizon <= 0 then
+    Wfs_util.Error.invalidf who "non-positive horizon %d" horizon
+
 let make ?(seed = default_seed) ?(horizon = default_horizon) ?topo ~sched
     scenario =
-  if horizon <= 0 then
-    Wfs_util.Error.invalidf "Spec.make" "non-positive horizon %d" horizon;
+  check_horizon "Spec.make" horizon;
   { scenario; sched; seed; horizon; topo }
 
 let with_seed seed t = { t with seed }
@@ -96,8 +99,9 @@ let with_horizon horizon t =
 let with_sched sched t = { t with sched }
 let with_topo topo t = { t with topo = Some topo }
 
-let of_scenario_file ?(sched = "WPS") path =
-  let sc = Wfs_core.Scenario.load path in
+let of_scenario_file ?(sched = "WPS") ?seed ?horizon path =
+  Option.iter (check_horizon "Spec.of_scenario_file") horizon;
+  let sc = Wfs_core.Scenario.load ?seed ?horizon path in
   {
     scenario = File path;
     sched;

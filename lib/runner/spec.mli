@@ -124,10 +124,13 @@ val with_horizon : int -> t -> t
 val with_sched : string -> t -> t
 val with_topo : topo -> t -> t
 
-val of_scenario_file : ?sched:string -> string -> t
+val of_scenario_file :
+  ?sched:string -> ?seed:int -> ?horizon:int -> string -> t
 (** [of_scenario_file path] parses the scenario file and lifts it into a
     spec, taking seed and horizon from the file's directives (their
-    defaults when absent).  [sched] defaults to ["WPS"].
+    defaults when absent); an explicit [seed] or [horizon] overrides the
+    directive.  [sched] defaults to ["WPS"].
+    @raise Invalid_argument if [horizon <= 0].
     @raise Wfs_util.Error.Error (kind [Bad_spec]) on a malformed file, or
     [Sys_error]. *)
 

@@ -569,15 +569,18 @@ let fuzz_json_mutated_documents =
       | Ok _ | Error _ -> true
       | exception _ -> false)
 
-(* Scenario text assembled from flow lines whose values are drawn from
-   in-range and out-of-range choices (a weight of 0, a probability of 2, a
-   negative limit), so most cases get past the syntax and reach a
-   constructor's own range check.  Every case must parse or fail as a
-   [Bad_spec] that names its line. *)
+(* Scenario text assembled from directive and flow lines whose values are
+   drawn from in-range and out-of-range choices (a weight of 0, a
+   probability of 2, a negative limit or horizon, a snoop period of 0), so
+   most cases get past the syntax and reach a range check.  Every case must
+   fail as a [Bad_spec] that names its line, or parse into a scenario whose
+   horizon and predictor a run accepts. *)
 let gen_scenario =
   let open QCheck.Gen in
-  let int = oneofl [ "1"; "3"; "0"; "-1" ] in
-  let num = oneofl [ "1"; "0.5"; "0.1"; "0"; "-1"; "2"; "nan"; "x" ] in
+  (* In range three times in four, so whole files often parse. *)
+  let values ok bad = frequency [ (3, oneofl ok); (1, oneofl bad) ] in
+  let int = values [ "1"; "3" ] [ "0"; "-1" ] in
+  let num = values [ "1"; "0.5"; "0.1" ] [ "0"; "-1"; "2"; "nan"; "x" ] in
   let pair a b = map2 (fun a b -> a ^ "," ^ b) a b in
   let spec kinds = oneof (List.map (fun (k, v) -> map (( ^ ) k) v) kinds) in
   let attr key v = opt (map (( ^ ) (key ^ "=")) v) in
@@ -597,21 +600,37 @@ let gen_scenario =
            map Option.some
              (spec
                 [
-                  ("cbr:", num); ("poisson:", num); ("mmpp:", num);
-                  ("onoff:", pair num num); ("pareto:", pair num num);
+                  ("source=cbr:", num); ("source=poisson:", num);
+                  ("source=mmpp:", num);
+                  ("source=onoff:", pair num num);
+                  ("source=pareto:", pair num num);
                 ]);
            map Option.some
              (spec
                 [
-                  ("ge:", pair num num); ("bernoulli:", num);
-                  ("badburst:", pair int int);
-                  ("good", return "");
+                  ("channel=ge:", pair num num); ("channel=bernoulli:", num);
+                  ("channel=badburst:", pair int int);
+                  ("channel=good", return "");
                 ]);
          ])
   in
-  map
-    (fun flows -> String.concat "\n" ("horizon 100" :: flows))
+  let directive =
+    oneof
+      [
+        map (( ^ ) "horizon ") (values [ "0"; "100" ] [ "-5"; "x" ]);
+        map (( ^ ) "seed ") (values [ "7"; "-1" ] [ "1.5" ]);
+        map (( ^ ) "predictor ")
+          (values
+             [ "one-step"; "perfect"; "blind"; "snoop:4" ]
+             [ "snoop:0"; "snoop:-1"; "snoop"; "psychic" ]);
+      ]
+  in
+  map3
+    (fun before flows after ->
+      String.concat "\n" (("horizon 100" :: before) @ flows @ after))
+    (list_size (0 -- 3) directive)
     (list_size (1 -- 4) flow)
+    (list_size (0 -- 1) directive)
 
 let fuzz_scenario_typed_errors =
   QCheck.Test.make ~count:1000
@@ -619,7 +638,9 @@ let fuzz_scenario_typed_errors =
     (QCheck.make ~print:Fun.id gen_scenario)
     (fun text ->
       match Core.Scenario.parse text with
-      | _ -> true
+      | sc ->
+          ignore (Wfs_channel.Predictor.create sc.Core.Scenario.predictor);
+          sc.Core.Scenario.horizon >= 0
       | exception Error.Error { kind = Error.Bad_spec; context; _ } ->
           List.mem_assoc "line" context
       | exception _ -> false)

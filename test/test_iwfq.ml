@@ -139,6 +139,69 @@ let prop_fluid_matches_continuous_gps =
       done;
       !ok)
 
+(* Bit-exact against the dense oracle: random arrivals, steps and idle
+   skips over non-dyadic weights, where float sums round and their order
+   shows.  After every operation each flow's backlog and service, the
+   virtual time, the slot and [is_busy] must carry the oracle's bits. *)
+type fluid_op = Arrive of int * int | Step | Skip of int
+
+let gen_fluid_case =
+  let open QCheck.Gen in
+  let weight = oneofl [ 0.3; 0.7; 1.1; 1.5; 2.2; 3. ] in
+  1 -- 40 >>= fun n ->
+  let op =
+    frequency
+      [
+        (3, map2 (fun flow count -> Arrive (flow, count)) (0 -- (n - 1)) (0 -- 16));
+        (3, return Step);
+        (1, map (fun k -> Skip k) (0 -- 4));
+      ]
+  in
+  pair (array_repeat n weight) (list_size (0 -- 200) op)
+
+let print_fluid_case (weights, ops) =
+  let op = function
+    | Arrive (flow, count) -> Printf.sprintf "arrive %d x%d" flow count
+    | Step -> "step"
+    | Skip k -> Printf.sprintf "skip %d" k
+  in
+  Printf.sprintf "weights [%s]; %s"
+    (String.concat "; " (Array.to_list (Array.map string_of_float weights)))
+    (String.concat ", " (List.map op ops))
+
+let prop_fluid_matches_dense =
+  QCheck.Test.make ~name:"fluid reference bit-identical to the dense oracle"
+    ~count:300
+    (QCheck.make ~print:print_fluid_case gen_fluid_case)
+    (fun (weights, ops) ->
+      let f = Fluid.create ~weights () in
+      let d = Dense_fluid.create ~weights () in
+      let bits = Int64.bits_of_float in
+      let same () =
+        bits (Fluid.virtual_time f) = bits d.Dense_fluid.v
+        && Fluid.slot f = d.Dense_fluid.slot
+        && Fluid.is_busy f = Dense_fluid.is_busy d
+        && Array.for_all Fun.id
+             (Array.init (Array.length weights) (fun flow ->
+                  bits (Fluid.queue f ~flow) = bits d.Dense_fluid.queue.(flow)
+                  && bits (Fluid.service f ~flow)
+                     = bits d.Dense_fluid.service.(flow)))
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Arrive (flow, count) ->
+              Fluid.add_arrivals f ~flow ~count;
+              Dense_fluid.add_arrivals d ~flow ~count
+          | Step ->
+              Fluid.step f;
+              Dense_fluid.step d
+          | Skip slots ->
+              Fluid.skip_idle f ~slots;
+              Dense_fluid.skip_idle d ~slots);
+          same ())
+        ops)
+
 (* --- Slot queue --- *)
 
 let test_slot_queue_tags () =
@@ -483,6 +546,7 @@ let suite =
     ("fluid work conservation", `Quick, test_fluid_conservation);
     QCheck_alcotest.to_alcotest prop_fluid_fairness;
     QCheck_alcotest.to_alcotest prop_fluid_matches_continuous_gps;
+    QCheck_alcotest.to_alcotest prop_fluid_matches_dense;
     ("slot queue tags", `Quick, test_slot_queue_tags);
     ("slot queue tags after idle", `Quick, test_slot_queue_tags_after_idle);
     ("slot queue pop_back", `Quick, test_slot_queue_pop_back);

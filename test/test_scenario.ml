@@ -64,7 +64,10 @@ let test_parse_errors () =
   expect_error "flow source=cbr:x channel=good\n";
   expect_error "bogus directive\n";
   expect_error "horizon many\nflow source=cbr:2 channel=good\n";
-  expect_error "flow source=cbr:2 channel=good\nseed 3\n"
+  expect_error "flow source=cbr:2 channel=good\nseed 3\n";
+  (* Out-of-range directives fail at parse time, not when the run is built. *)
+  expect_error "horizon -5\nflow source=cbr:2 channel=good\n";
+  expect_error "predictor snoop:0\nflow source=cbr:2 channel=good\n"
 
 let test_parse_error_line_number () =
   match S.parse "horizon 10\n# fine\nflow source=cbr:2\n" with
