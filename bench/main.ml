@@ -63,8 +63,8 @@ let profile_dashboard ~horizon ~seed =
       let _metrics =
         Wfs_obs.Profiler.span prof "run:SwapA-P" (fun () ->
             Wfs_runner.Exec.run
-              ~probe:(fun sched ->
-                Wfs_obs.Probe.create ~instruments:reg ~n_flows sched)
+              ~hooks:(fun sched ->
+                [ Wfs_obs.Probe.create ~instruments:reg ~n_flows sched ])
               ~profiler:(Wfs_obs.Profiler.hooks prof) spec)
       in
       Wfs_obs.Profiler.span prof "render" (fun () ->

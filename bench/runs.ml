@@ -63,7 +63,9 @@ exception Missing of string
    by the job thunks at run time (they are built before [exec] knows the
    options). *)
 let invariants_flag = ref false
-let invariants_enabled () = !invariants_flag
+
+let checked_hooks sched =
+  if !invariants_flag then [ Core.Invariant.hook sched ] else []
 let flight_recorder_flag = ref None
 let flight_recorder_capacity () = !flight_recorder_flag
 
@@ -77,7 +79,7 @@ let spec_job spec =
            carries the flight recorder's last events; re-raising keeps the
            pool's crash-isolation contract unchanged. *)
         match
-          Wfs_runner.Exec.run_outcome ~invariants:(invariants_enabled ())
+          Wfs_runner.Exec.run_outcome ~hooks:checked_hooks
             ?flight_recorder:(flight_recorder_capacity ()) spec
         with
         | Ok m -> Metrics m

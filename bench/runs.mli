@@ -50,15 +50,16 @@ exception Missing of string
 (** Raised by the lookup function for a key that was submitted but whose
     job failed — the render phase catches it to skip just that section. *)
 
-val invariants_enabled : unit -> bool
-(** The sweep-wide invariant switch ({!opts.invariants}), as set by the
-    current {!exec}.  Job thunks built before [exec] read it at run time;
-    custom jobs driving {!Wfs_core.Simulator} directly should forward it
-    to [Simulator.config ~invariants]. *)
+val checked_hooks :
+  Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.hook list
+(** The sweep-wide invariant switch ({!opts.invariants}) as a hook
+    builder: [[Invariant.hook sched]] when the current {!exec} turned the
+    monitors on, [[]] otherwise.  Job thunks built before [exec] call it
+    at run time; custom jobs put its hooks first in their own list. *)
 
 val flight_recorder_capacity : unit -> int option
 (** The sweep-wide flight-recorder capacity ({!opts.flight_recorder}), as
-    set by the current {!exec} — same contract as {!invariants_enabled}. *)
+    set by the current {!exec} — same contract as {!checked_hooks}. *)
 
 val spec_job : Wfs_runner.Spec.t -> job
 (** Job keyed by [Spec.to_string] that runs the spec through

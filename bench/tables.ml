@@ -79,12 +79,13 @@ let agg ?decimals ms f =
         (cell ?decimals (Summary.mean s))
         (cell ?decimals (Summary.ci95 s))
 
-let run_direct ?observer ~horizon ~predictor setups sched =
+let run_direct ?hook ~horizon ~predictor setups sched =
   let cfg =
-    Core.Simulator.config ~predictor ?observer
-      ~invariants:(Runs.invariants_enabled ()) ~horizon setups
+    Core.Sim_config.v ~horizon setups |> Core.Sim_config.with_predictor predictor
   in
-  Core.Simulator.run cfg sched
+  Runs.checked_hooks sched @ Option.to_list hook
+  |> List.fold_left (fun c h -> Core.Sim_config.with_hook h c) cfg
+  |> Core.Sim_config.run sched
 
 (* The 9-algorithm, 2-flow grid of Tables 1-4 (plus IWFQ rows, which the
    paper defines but does not simulate). *)
@@ -294,7 +295,7 @@ let table11 ~opts =
           custom_jobs ~opts ~key:(sweep_key (d, c)) (fun ~seed ->
               Wfs_runner.Exec.run
                 ~limits:(P.example6_limits ~d ~c)
-                ~invariants:(Runs.invariants_enabled ())
+                ~hooks:Runs.checked_hooks
                 (Spec.with_seed seed swapa_spec)))
         sweep
   in
@@ -761,7 +762,7 @@ let ablation_fairness ~opts =
               in
               ignore
                 (run_direct
-                   ~observer:(Core.Fairness.Monitor.observer monitor)
+                   ~hook:(Core.Fairness.Monitor.hook monitor)
                    ~horizon ~predictor:Wfs_channel.Predictor.One_step setups
                    sched);
               Runs.Fairness

@@ -57,10 +57,10 @@ let run ~path ~contention ~control_weight ~metrics_out ~trace_out ~trace_csv
   let registry =
     if metrics_out <> None then Some (Wfs_obs.Instruments.create ()) else None
   in
-  let slot_probe =
+  let hooks sched =
     if registry <> None || sinks <> [] then
-      Some (Wfs_obs.Probe.create ~stride:trace_stride ~sinks ?instruments:registry ~n_flows)
-    else None
+      [ Wfs_obs.Probe.create ~stride:trace_stride ~sinks ?instruments:registry ~n_flows sched ]
+    else []
   in
   let profiler = if profile then Some (Wfs_obs.Profiler.create ()) else None in
   (* The flight recorder rides the config's trace slot: Mac_sim feeds its
@@ -72,7 +72,7 @@ let run ~path ~contention ~control_weight ~metrics_out ~trace_out ~trace_csv
   let cfg =
     Mac.Mac_sim.config
       ~rng:(Wfs_util.Rng.create scenario.Core.Scenario.seed)
-      ~control_weight ~contention ?trace:recorder ?slot_probe
+      ~control_weight ~contention ?trace:recorder ~hooks
       ?profiler:(Option.map Wfs_obs.Profiler.hooks profiler)
       ~horizon flows
   in

@@ -79,18 +79,16 @@ let run_one ~credit ~debit ~fairness ~invariants ~fast_path ~obs
   let setups = Wfs_runner.Exec.setups_of spec in
   let flows = Wfs_core.Presets.flows_of setups in
   let sched = entry.Registry.make ~credit_limit:credit ~debit_limit:debit flows in
+  let weights = Array.map (fun (f : Wfs_core.Params.flow) -> f.weight) flows in
   let monitor =
     if fairness then
-      Some
-        (Wfs_core.Fairness.Monitor.create
-           ~weights:(Array.map (fun (f : Wfs_core.Params.flow) -> f.weight) flows)
-           ~window:100 ~sched)
+      Some (Wfs_core.Fairness.Monitor.create ~weights ~window:100 ~sched)
     else None
   in
   let registry =
     if obs.want_instruments then Some (Wfs_obs.Instruments.create ()) else None
   in
-  let slot_probe =
+  let probe =
     if obs.want_instruments || obs.sinks <> [] then
       Some
         (Wfs_obs.Probe.create ~stride:obs.stride ~sinks:obs.sinks
@@ -102,43 +100,36 @@ let run_one ~credit ~debit ~fairness ~invariants ~fast_path ~obs
       (fun cap -> Wfs_core.Tracelog.create ~capacity:cap ())
       obs.flight
   in
-  (* Windowed aggregation is a per-slot observer here (it degenerates the
+  (* Windowed aggregation is a per-slot hook here (it degenerates the
      fast path, like --fairness); topology runs sample at barriers
      instead and stay compressed. *)
   let wcoll =
     Option.map
-      (fun (_, window) ->
-        Wfs_xray.Windowed.create
-          ~weights:
-            (Array.map (fun (f : Wfs_core.Params.flow) -> f.weight) flows)
-          ~window)
+      (fun (_, window) -> Wfs_xray.Windowed.create ~weights ~window)
       obs.windows
-  in
-  let observer =
-    match
-      ( Option.map Wfs_core.Fairness.Monitor.observer monitor,
-        Option.map Wfs_xray.Windowed.observer wcoll )
-    with
-    | None, None -> None
-    | (Some _ as f), None -> f
-    | None, (Some _ as g) -> g
-    | Some f, Some g ->
-        Some
-          (fun slot m ->
-            f slot m;
-            g slot m)
   in
   (* Skip telemetry records at window granularity and is deliberately NOT
      part of the fast path's degeneration condition: a --fast-path run
      stays compressed while counting what it skipped. *)
   let skip = if fast_path then Some (Wfs_core.Skip_stats.create ()) else None in
+  let module C = Wfs_core.Sim_config in
+  let maybe step = function Some v -> step v | None -> Fun.id in
+  (* Hooks run in the order added: the invariant monitor first, so a
+     violation stops the slot before anything reports it, then the probe,
+     then the windowed observers. *)
   let cfg =
-    Wfs_core.Simulator.config ~predictor:entry.Registry.predictor
-      ?observer ?trace ?slot_probe
-      ?profiler:(Option.map Wfs_obs.Profiler.hooks obs.profiler)
-      ?skip_stats:skip ~invariants ~fast_path ~horizon:spec.horizon setups
+    C.v ~horizon:spec.horizon setups
+    |> C.with_predictor entry.Registry.predictor
+    |> maybe C.with_trace trace
+    |> maybe C.with_profiler (Option.map Wfs_obs.Profiler.hooks obs.profiler)
+    |> maybe C.with_skip_stats skip
+    |> C.with_fast_path fast_path
+    |> (if invariants then C.with_hook (Wfs_core.Invariant.hook sched) else Fun.id)
+    |> maybe C.with_hook probe
+    |> maybe C.with_hook (Option.map Wfs_core.Fairness.Monitor.hook monitor)
+    |> maybe C.with_hook (Option.map Wfs_xray.Windowed.hook wcoll)
   in
-  match Wfs_core.Simulator.run cfg sched with
+  match C.run sched cfg with
   | metrics ->
       (match (wcoll, obs.windows) with
       | Some w, Some (path, window) ->

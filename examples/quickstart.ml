@@ -49,11 +49,11 @@ let () =
   let scheduler = Core.Wps.instance (Core.Wps.create ~params:(Core.Params.swapa ()) flows) in
 
   (* 4. Run with one-step channel prediction. *)
-  let cfg =
-    Core.Simulator.config ~predictor:Wfs_channel.Predictor.One_step ~horizon
-      setups
+  let metrics =
+    Core.Sim_config.v ~horizon setups
+    |> Core.Sim_config.with_predictor Wfs_channel.Predictor.One_step
+    |> Core.Sim_config.run scheduler
   in
-  let metrics = Core.Simulator.run cfg scheduler in
 
   Array.iteri
     (fun i _ ->

@@ -38,10 +38,11 @@ let run ~period make_sched =
             (if i = 0 then victim_channel else Wfs_channel.Error_free.create ());
         })
   in
-  let cfg =
-    Core.Simulator.config ~predictor:Wfs_channel.Predictor.Perfect ~horizon setups
+  let m =
+    Core.Sim_config.v ~horizon setups
+    |> Core.Sim_config.with_predictor Wfs_channel.Predictor.Perfect
+    |> Core.Sim_config.run sched
   in
-  let m = Core.Simulator.run cfg sched in
   ( Core.Metrics.delivered m ~flow:0,
     Core.Metrics.arrivals m ~flow:0,
     Core.Metrics.mean_delay m ~flow:0 )

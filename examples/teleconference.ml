@@ -63,11 +63,12 @@ let build_setups ~seed =
 let run ~name make_sched =
   let flows, setups = build_setups ~seed:11 in
   let sched = make_sched flows in
-  let cfg =
-    Core.Simulator.config ~predictor:Wfs_channel.Predictor.One_step
-      ~histograms:true ~horizon setups
+  let m =
+    Core.Sim_config.v ~horizon setups
+    |> Core.Sim_config.with_predictor Wfs_channel.Predictor.One_step
+    |> Core.Sim_config.with_histograms
+    |> Core.Sim_config.run sched
   in
-  let m = Core.Simulator.run cfg sched in
   Printf.printf "--- %s ---\n" name;
   let label = [| "audio (good channel)"; "audio (cell edge)"; "video"; "bulk" |] in
   Array.iteri

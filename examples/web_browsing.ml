@@ -64,11 +64,11 @@ let () =
              ~params:(Core.Params.swapa ~credit_limit:cap ~debit_limit:cap ())
              flows)
       in
-      let cfg =
-        Core.Simulator.config ~predictor:Wfs_channel.Predictor.One_step ~horizon
-          setups
+      let m =
+        Core.Sim_config.v ~horizon setups
+        |> Core.Sim_config.with_predictor Wfs_channel.Predictor.One_step
+        |> Core.Sim_config.run sched
       in
-      let m = Core.Simulator.run cfg sched in
       let bad_loss = ref 0. in
       for i = 0 to n_flows - 1 do
         if i mod 2 = 1 then bad_loss := !bad_loss +. Core.Metrics.loss m ~flow:i

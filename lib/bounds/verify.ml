@@ -22,6 +22,15 @@ let iwfq_of ?params setups =
   let iwfq = Core.Iwfq.create ?params flows in
   (iwfq, Core.Iwfq.instance iwfq, flows)
 
+(* One simulator run with an optional hook and trace: every verifier below
+   samples a run through one or the other. *)
+let run ~predictor ?hook ?trace ~horizon setups sched =
+  Core.Sim_config.v ~horizon setups
+  |> Core.Sim_config.with_predictor predictor
+  |> (match hook with Some h -> Core.Sim_config.with_hook h | None -> Fun.id)
+  |> (match trace with Some tr -> Core.Sim_config.with_trace tr | None -> Fun.id)
+  |> Core.Sim_config.run sched
+
 let check_fact1 ?params ~horizon ~make_setups ~predictor () =
   let setups = make_setups () in
   let iwfq, sched, flows = iwfq_of ?params setups in
@@ -32,24 +41,24 @@ let check_fact1 ?params ~horizon ~make_setups ~predictor () =
   (* One packet per flow of packetization slack on top of B. *)
   let bound = p.Core.Params.lag_total +. float_of_int n in
   let report = ref empty_report in
-  let observer _slot _metrics =
+  let hook ~slot:_ ~selected:_ ~states:_ ~metrics:_ ~predicted_good:_ =
     let total = ref 0. in
     for i = 0 to n - 1 do
       total := !total +. Float.max 0. (Core.Iwfq.lag iwfq ~flow:i)
     done;
     report := observe !report ~measured:!total ~bound
   in
-  let cfg = Core.Simulator.config ~predictor ~observer ~horizon setups in
-  ignore (Core.Simulator.run cfg sched);
+  ignore (run ~predictor ~hook ~horizon setups sched);
   !report
 
 (* Run a scenario and sample each flow's cumulative delivered-packet curve. *)
 let delivered_curve ?params ~horizon ~predictor setups ~flow =
   let _iwfq, sched, _flows = iwfq_of ?params setups in
   let curve = Array.make horizon 0 in
-  let observer slot metrics = curve.(slot) <- Core.Metrics.delivered metrics ~flow in
-  let cfg = Core.Simulator.config ~predictor ~observer ~horizon setups in
-  ignore (Core.Simulator.run cfg sched);
+  let hook ~slot ~selected:_ ~states:_ ~metrics ~predicted_good:_ =
+    curve.(slot) <- Core.Metrics.delivered metrics ~flow
+  in
+  ignore (run ~predictor ~hook ~horizon setups sched);
   curve
 
 let error_free_setups setups =
@@ -81,8 +90,7 @@ let check_long_term_throughput ?params ~horizon ~shift ~make_setups ~predictor
 let delivery_times ?params ~horizon ~predictor setups ~flow =
   let _iwfq, sched, _flows = iwfq_of ?params setups in
   let trace = Tracelog.create () in
-  let cfg = Core.Simulator.config ~predictor ~trace ~horizon setups in
-  ignore (Core.Simulator.run cfg sched);
+  ignore (run ~predictor ~trace ~horizon setups sched);
   let tbl = Hashtbl.create 256 in
   List.iter
     (fun { Tracelog.slot; event } ->
@@ -108,8 +116,7 @@ let check_new_queue_delay ?params ~horizon ~make_setups ~predictor ~flow () =
   let system = system_of ?params flows in
   let bound = Theorems.new_queue_delay system ~flow +. 1. in
   let trace = Tracelog.create () in
-  let cfg = Core.Simulator.config ~predictor ~trace ~horizon setups in
-  ignore (Core.Simulator.run cfg sched);
+  ignore (run ~predictor ~trace ~horizon setups sched);
   (* Replay the trace to find packets that arrived at an empty queue. *)
   let queue = Array.make (Array.length flows) 0 in
   let new_queue_seqs = Hashtbl.create 64 in
@@ -148,7 +155,7 @@ let check_short_term_throughput ?params ~horizon ~window ~make_setups ~predictor
   let start_lags = Array.make n 0. in
   let start_lead = ref 0. in
   let slots_in_window = ref 0 in
-  let observer _slot metrics =
+  let hook ~slot:_ ~selected:_ ~states:_ ~metrics ~predicted_good:_ =
     if !slots_in_window = 0 then begin
       start_delivered := Core.Metrics.delivered metrics ~flow;
       continuously_backlogged := true;
@@ -180,8 +187,7 @@ let check_short_term_throughput ?params ~horizon ~window ~make_setups ~predictor
       slots_in_window := 0
     end
   in
-  let cfg = Core.Simulator.config ~predictor ~observer ~horizon setups in
-  ignore (Core.Simulator.run cfg sched);
+  ignore (run ~predictor ~hook ~horizon setups sched);
   !report
 
 let check_error_free_delay ?params ~horizon ~make_setups ~predictor ~flow () =

@@ -43,7 +43,8 @@ module Monitor = struct
       worst_gap = 0.;
     }
 
-  let observer t _slot metrics =
+  let hook t : Simulator.hook =
+   fun ~slot:_ ~selected:_ ~states:_ ~metrics ~predicted_good:_ ->
     let n = Array.length t.weights in
     (* "Backlogged" for the window means every flow had work at every
        sampled slot; we require at least two to make fairness meaningful. *)

@@ -10,7 +10,7 @@
     - {!max_normalized_gap} — the worst pairwise
       [|W_i/r_i − W_j/r_j|] over an interval, the quantity equation (1)
       sets to zero;
-    - {!Monitor} — an observer that samples both over sliding windows of a
+    - {!Monitor} — an end-of-slot hook that samples both over sliding windows of a
       live simulation, restricted to flows that stayed backlogged through
       the window (the only flows the definition constrains). *)
 
@@ -34,8 +34,8 @@ module Monitor : sig
       only if at least two flows were backlogged at every slot of the
       window; service is counted in delivered packets. *)
 
-  val observer : t -> int -> Metrics.t -> unit
-  (** Pass as [Simulator.config ~observer].  Reads per-flow delivered
+  val hook : t -> Simulator.hook
+  (** Attach with [Sim_config.with_hook].  Reads per-flow delivered
       counts from the metrics and backlog from the scheduler. *)
 
   val windows_sampled : t -> int

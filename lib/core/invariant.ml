@@ -128,3 +128,9 @@ let check t ~slot ~sched ~n_flows ~predicted_good ~selected =
   Option.iter (check_lag_sum t ~slot ~sched) probe.lag_sum;
   if probe.work_conserving && Option.is_none selected then
     check_work_conserving ~slot ~sched ~n_flows ~predicted_good
+
+let hook sched : Simulator.hook =
+  let t = create () in
+  fun ~slot ~selected ~states ~metrics:_ ~predicted_good ->
+    check t ~slot ~sched ~n_flows:(Array.length states) ~predicted_good
+      ~selected

@@ -1,8 +1,8 @@
 (** Runtime monitors for the paper's scheduler safety properties.
 
-    A monitor is attached to one simulation run ({!Simulator.config}'s
-    [invariants] flag) and checked once per slot, after the slot's
-    transmission outcome and [on_slot_end] housekeeping.  Each check reads
+    A monitor is attached to one simulation run as an end-of-slot
+    {!hook} and checked once per slot, after the slot's transmission
+    outcome and [on_slot_end] housekeeping.  Each check reads
     the scheduler's {!Wireless_sched.probe} — schedulers that do not
     expose a quantity are simply not checked for it — and a violation
     raises {!Wfs_util.Error.Error} with kind [Invariant_violation],
@@ -44,6 +44,15 @@ val check :
     function and selection actually used for that slot.
     @raise Wfs_util.Error.Error (kind [Invariant_violation]) on the first
     violated property. *)
+
+val hook : Wireless_sched.instance -> Simulator.hook
+(** A fresh monitor on [sched], as an end-of-slot hook: it checks every
+    slot against the hook's [selected] and [predicted_good], over the
+    flows of its [states] array.  The monitor keeps its history, so build
+    one per run.  Checked runs are byte-identical to unchecked ones,
+    because the monitor only reads scheduler probes and the hook's
+    non-mutating prediction view.  Add it before any other hook, so that
+    a violation stops the run before the slot is reported elsewhere. *)
 
 val check_carry :
   who:string ->

@@ -242,7 +242,6 @@ let run ?scheduler t =
     | Some f -> f flow_params
     | None -> Wps.instance (Wps.create ~params:(Params.swapa ()) flow_params)
   in
-  let cfg =
-    Simulator.config ~predictor:t.predictor ~horizon:t.horizon t.setups
-  in
-  Simulator.run cfg sched
+  Sim_config.v ~horizon:t.horizon t.setups
+  |> Sim_config.with_predictor t.predictor
+  |> Sim_config.run sched

@@ -34,46 +34,34 @@ type profiler_hooks = {
   phase_end : int -> unit;
 }
 
-type slot_probe =
-  slot:int -> selected:int option -> states:Channel.state array -> unit
+type hook =
+  slot:int ->
+  selected:int option ->
+  states:Channel.state array ->
+  metrics:Metrics.t ->
+  predicted_good:(int -> bool) ->
+  unit
 
 type config = {
   flows : flow_setup array;
   predictor : Predictor.kind;
   horizon : int;
   trace : Tracelog.t option;
-  observer : (int -> Metrics.t -> unit) option;
-  slot_probe : slot_probe option;
+  hooks : hook list;
   profiler : profiler_hooks option;
   histograms : bool;
-  invariants : bool;
   fast_path : bool;
   skip_stats : Skip_stats.t option;
 }
 
-let config ?(predictor = Predictor.One_step) ?trace ?observer ?slot_probe
-    ?profiler ?(histograms = false) ?(invariants = false)
-    ?(fast_path = false) ?skip_stats ~horizon flows =
-  if horizon < 0 then Wfs_util.Error.invalid "Simulator.config" "negative horizon";
-  if Array.length flows = 0 then Wfs_util.Error.invalid "Simulator.config" "no flows";
-  Array.iteri
-    (fun i fs ->
-      if fs.flow.Params.id <> i then
-        Wfs_util.Error.invalid_flow_ids "Simulator.config")
-    flows;
-  {
-    flows;
-    predictor;
-    horizon;
-    trace;
-    observer;
-    slot_probe;
-    profiler;
-    histograms;
-    invariants;
-    fast_path;
-    skip_stats;
-  }
+(* Phase 7's hook walk: a named recursion rather than [List.iter] with a
+   closure, so a hooked slot allocates nothing beyond what the hooks do. *)
+let rec run_hooks hooks ~slot ~selected ~states ~metrics ~predicted_good =
+  match hooks with
+  | [] -> ()
+  | (h : hook) :: rest ->
+      h ~slot ~selected ~states ~metrics ~predicted_good;
+      run_hooks rest ~slot ~selected ~states ~metrics ~predicted_good
 
 let delay_bound_of (p : Params.drop_policy) =
   match p with
@@ -93,7 +81,6 @@ module Session = struct
     seqs : int array;
     tracing : bool;
     record : slot:int -> Tracelog.event -> unit;
-    monitor : Invariant.t option;
     profiling : bool;
     phase_begin : int -> unit;
     phase_end : int -> unit;
@@ -113,9 +100,9 @@ module Session = struct
     first_slot : int;
     mutable next : int;
     (* Event-compressed fast path (see docs/PERF.md).  [fast] is decided
-       once at session creation: the config asked for it, every per-slot
-       observability hook is absent and the scheduler published a
-       quiescent hook.
+       once at session creation: the config asked for it, no end-of-slot
+       hook, enabled trace or profiler is attached, and the scheduler
+       published a quiescent hook.
        [cal] holds at most one pending arrival event per source;
        [src_scanned.(i)] is the slot the next event query for source [i]
        resumes from; [chan_next] is the slot the next dynamic-channel
@@ -152,7 +139,6 @@ module Session = struct
     let record ~slot ev =
       match cfg.trace with None -> () | Some tr -> Tracelog.record tr ~slot ev
     in
-    let monitor = if cfg.invariants then Some (Invariant.create ()) else None in
     (* Observability hooks: [profiling] is hoisted so the disabled path costs
        one branch on a register-resident bool per phase boundary — the hook
        closures are only entered when a profiler is actually attached. *)
@@ -169,7 +155,7 @@ module Session = struct
       Channel.state_is_good
         (Predictor.predict predictors.(i) cfg.flows.(i).channel ~slot:!cur_slot)
     in
-    (* The monitor's view of "what would the scheduler have been told" goes
+    (* The hooks' view of "what would the scheduler have been told" goes
        through Predictor.peek: same answer [select] saw this slot (channels
        only advance in phase 2), zero predictor mutation — so checked runs
        stay byte-identical, Periodic_snoop included. *)
@@ -218,11 +204,8 @@ module Session = struct
         cfg.flows
     in
     let fast =
-      cfg.fast_path && not tracing
-      && Option.is_none cfg.slot_probe
-      && Option.is_none cfg.observer
+      cfg.fast_path && List.is_empty cfg.hooks && not tracing
       && Option.is_none cfg.profiler
-      && not cfg.invariants
       && Option.is_some sched.Wireless_sched.quiescent
     in
     let dynamic_channels =
@@ -239,7 +222,6 @@ module Session = struct
       seqs;
       tracing;
       record;
-      monitor;
       profiling;
       phase_begin;
       phase_end;
@@ -299,7 +281,7 @@ module Session = struct
     let metrics = t.metrics in
     let tracing = t.tracing in
     let record = t.record in
-    let monitor = t.monitor in
+    let hooks = cfg.hooks in
     let profiling = t.profiling in
     let phase_begin = t.phase_begin in
     let phase_end = t.phase_end in
@@ -392,15 +374,11 @@ module Session = struct
       (* 7. End-of-slot hooks. *)
       if profiling then phase_begin phase_slot_end;
       sched.on_slot_end ~slot;
-      (match monitor with
-      | None -> ()
-      | Some m ->
-          Invariant.check m ~slot ~sched ~n_flows:n ~predicted_good:peek_good
-            ~selected);
-      (match cfg.slot_probe with
-      | None -> ()
-      | Some probe -> probe ~slot ~selected ~states);
-      (match cfg.observer with None -> () | Some f -> f slot metrics);
+      (match hooks with
+      | [] -> ()
+      | hooks ->
+          run_hooks hooks ~slot ~selected ~states ~metrics
+            ~predicted_good:peek_good);
       if profiling then phase_end phase_slot_end
     done)
     [@hot];
@@ -589,28 +567,3 @@ module Session = struct
 end
 
 let run cfg sched = Session.finish (Session.create cfg sched)
-
-let run_with_channels cfg sched ~channel_states =
-  if Array.length channel_states <> Array.length cfg.flows then
-    Wfs_util.Error.invalid "Simulator.run_with_channels" "one state row per flow required";
-  Array.iter
-    (fun row ->
-      if Array.length row < cfg.horizon then
-        Wfs_util.Error.invalid "Simulator.run_with_channels" "row shorter than horizon")
-    channel_states;
-  (* Feed the recorded states through trace channels so predictors see the
-     same view as in a live run. *)
-  let replay =
-    Array.map
-      (fun row ->
-        Wfs_channel.Trace_ch.create
-          (Array.to_list (Array.mapi (fun slot st -> (slot, st)) row)))
-      channel_states
-  in
-  run
-    {
-      cfg with
-      flows =
-        Array.mapi (fun i fs -> { fs with channel = replay.(i) }) cfg.flows;
-    }
-    sched

@@ -43,40 +43,46 @@ type profiler_hooks = {
     Hooks must not raise and must not touch the scheduler; they are meant
     to read a monotonic clock and accumulate (see [Wfs_obs.Profiler]). *)
 
-type slot_probe =
-  slot:int -> selected:int option -> states:Wfs_channel.Channel.state array -> unit
-(** Called once per slot, after transmission and [on_slot_end] but before
-    the observer: [selected] is the flow the scheduler picked (or [None]
-    for an idle slot) and [states] is the true per-flow channel-state
-    scratch array for this slot — {b borrowed}, valid only during the
-    call; copy what you keep.  Per-flow scheduler internals (tags, credits,
-    virtual time, lag) are available through the scheduler's own
-    {!Wireless_sched.probe}, which a probe closure can capture at
-    construction time (see [Wfs_obs.Probe]). *)
+type hook =
+  slot:int ->
+  selected:int option ->
+  states:Wfs_channel.Channel.state array ->
+  metrics:Metrics.t ->
+  predicted_good:(int -> bool) ->
+  unit
+(** An end-of-slot hook, called once per slot after transmission and
+    [on_slot_end], in the order the hooks were added:
+    - [selected] is the flow the scheduler picked ([None] on an idle
+      slot);
+    - [states] is the true per-flow channel-state scratch array for this
+      slot — {b borrowed}, valid only during the call; copy what you keep;
+    - [metrics] is the live accumulator;
+    - [predicted_good] answers what [select] was told this slot, through
+      the non-mutating {!Wfs_channel.Predictor.peek}, so a hook that asks
+      perturbs no predictor ([Periodic_snoop] included).
+
+    Per-flow scheduler internals (tags, credits, virtual time, lag) come
+    from the scheduler's own {!Wireless_sched.probe}, which a hook
+    captures when it is built.  A hook holds its own per-run state, so
+    each run builds fresh ones.  The invariant monitor
+    ({!Invariant.hook}), the telemetry probe ([Wfs_obs.Probe]), the
+    fairness monitor ({!Fairness.Monitor.hook}) and the windowed
+    collector ([Wfs_xray.Windowed.hook]) are hooks.  A hook that raises
+    stops the run at that slot. *)
 
 type config = {
   flows : flow_setup array;
   predictor : Wfs_channel.Predictor.kind;
   horizon : int;  (** number of slots to simulate *)
   trace : Tracelog.t option;
-  observer : (int -> Metrics.t -> unit) option;
-      (** called at the end of every slot with the slot index and the live
-          metrics — used by the bounds verifier and tests to sample
-          cumulative service/lag trajectories *)
-  slot_probe : slot_probe option;
-      (** per-slot telemetry hook; [None] costs one branch per slot *)
+  hooks : hook list;
+      (** end-of-slot hooks, called in list order; [[]] costs one branch
+          per slot *)
   profiler : profiler_hooks option;
       (** per-phase timing hooks; [None] costs one branch per phase *)
   histograms : bool;
       (** keep per-flow delay histograms so [Metrics.delay_percentile]
           works on the result *)
-  invariants : bool;
-      (** run an {!Invariant} monitor every slot; a violated paper
-          property raises [Wfs_util.Error.Error] (kind
-          [Invariant_violation]).  Off by default.  The monitor only reads
-          scheduler probes and non-mutating {!Wfs_channel.Predictor.peek}
-          views, so checked runs are byte-identical to unchecked ones for
-          every predictor, [Periodic_snoop] included. *)
   fast_path : bool;
       (** opt in to the event-compressed engine: quiescent windows — no
           packet queued anywhere and no arrival scheduled before the
@@ -88,9 +94,8 @@ type config = {
           streams (one [Rng.split] per source/channel, the repo-wide
           convention) — a single stream shared across objects would be
           re-interleaved.  Degenerates silently to the reference loop
-          whenever any per-slot hook is attached (trace, observer,
-          slot probe, profiler, invariants) or the scheduler publishes no
-          quiescent hook.  Off by default. *)
+          whenever a hook, an enabled trace or a profiler is attached, or
+          the scheduler publishes no quiescent hook.  Off by default. *)
   skip_stats : Skip_stats.t option;
       (** fast-path skip telemetry collector.  Deliberately NOT part of the
           fast-path degeneration condition above: the collector is updated
@@ -101,30 +106,12 @@ type config = {
           loop (fast path off or degenerated) the collector records those
           slots as [reference_slots], making the degeneration visible. *)
 }
-
-val config :
-  ?predictor:Wfs_channel.Predictor.kind ->
-  ?trace:Tracelog.t ->
-  ?observer:(int -> Metrics.t -> unit) ->
-  ?slot_probe:slot_probe ->
-  ?profiler:profiler_hooks ->
-  ?histograms:bool ->
-  ?invariants:bool ->
-  ?fast_path:bool ->
-  ?skip_stats:Skip_stats.t ->
-  horizon:int ->
-  flow_setup array ->
-  config
-(** Default predictor: [One_step].  {b Legacy surface}: new code should
-    build configurations through the typed {!Sim_config} builder, which
-    produces the same record — this optional-argument constructor is kept
-    so existing call sites (and golden CSVs) stay byte-identical.
-    @raise Invalid_argument on a negative horizon, flow ids out of order,
-    or an empty flow array. *)
+(** Build values of this record with {!Sim_config}, which validates the
+    flows and horizon. *)
 
 (** Epoch-resumable simulation: a session owns all per-run scratch (the
     metrics accumulator, packet sequence counters, predictors, channel
-    scratch, the invariant monitor) and advances the slot loop in
+    scratch) and advances the slot loop in
     increments.  [Session.finish (Session.create cfg sched)] is exactly
     {!run}; a multi-cell {!Wfs_topo.Topology} instead advances each
     cell's session one epoch at a time and applies handoffs at the
@@ -164,13 +151,3 @@ end
 val run : config -> Wireless_sched.instance -> Metrics.t
 (** Simulate [horizon] slots and return the collected metrics.
     Equivalent to a single-increment {!Session}. *)
-
-val run_with_channels :
-  config ->
-  Wireless_sched.instance ->
-  channel_states:Wfs_channel.Channel.state array array ->
-  Metrics.t
-(** Like {!run} but forces the given per-flow, per-slot channel
-    realisations (outer index = flow, inner = slot) instead of advancing
-    [config]'s channels — used to compare schedulers on identical error
-    sample paths.  Each row must cover [horizon] slots. *)

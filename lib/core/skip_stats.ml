@@ -5,7 +5,8 @@
    WINDOW granularity — one update per absorbed window, never per slot — so
    attaching a collector does not degenerate the fast path and costs one
    option match per window boundary.  The collector is deliberately excluded
-   from the fast-path degeneration condition (see Simulator.config). *)
+   from the fast-path degeneration condition (see Simulator.config's
+   [fast_path] field). *)
 
 type t = {
   mutable absorbed_windows : int;

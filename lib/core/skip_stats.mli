@@ -5,7 +5,7 @@
     happen at window granularity — one counter bump and one histogram
     observation per absorbed window, one counter bump per declined window —
     never per slot, so attaching a collector keeps the engine on the
-    compressed path.  Unlike traces, probes, observers and profilers, a
+    compressed path.  Unlike end-of-slot hooks, traces and profilers, a
     collector does NOT degenerate the fast path to the reference loop. *)
 
 type t

@@ -21,13 +21,12 @@ type config = {
   horizon : int;
   rng : Wfs_util.Rng.t;
   trace : Wfs_core.Tracelog.t option;
-  slot_probe :
-    (Core.Wireless_sched.instance -> Core.Simulator.slot_probe) option;
+  hooks : Core.Wireless_sched.instance -> Core.Simulator.hook list;
   profiler : Core.Simulator.profiler_hooks option;
 }
 
 let config ?(control_weight = 1.) ?wps ?(contention = Single_shot) ?trace
-    ?slot_probe ?profiler ~rng ~horizon flows =
+    ?(hooks = fun _ -> []) ?profiler ~rng ~horizon flows =
   if horizon < 0 then Wfs_util.Error.invalid "Mac_sim.config" "negative horizon";
   let wps = match wps with Some p -> p | None -> Core.Params.swapa () in
   let seen = Hashtbl.create 16 in
@@ -43,7 +42,7 @@ let config ?(control_weight = 1.) ?wps ?(contention = Single_shot) ?trace
   | Aloha p when not (p > 0. && p <= 1.) ->
       Wfs_util.Error.invalid "Mac_sim.config" "ALOHA persistence must be in (0,1]"
   | Aloha _ | Single_shot -> ());
-  { flows; control_weight; wps; contention; horizon; rng; trace; slot_probe; profiler }
+  { flows; control_weight; wps; contention; horizon; rng; trace; hooks; profiler }
 
 type result = {
   metrics : Core.Metrics.t;
@@ -80,15 +79,22 @@ let run cfg =
   in
   let wps = Core.Wps.create ~params:cfg.wps ?trace:cfg.trace params_flows in
   let sched = Core.Wps.instance wps in
-  (* As in Exec.run, the probe arrives as a builder: the WPS instance is
-     internal, so the caller says how to probe and this function applies it
+  (* As in Exec.run, hooks arrive as a builder: the WPS instance is
+     internal, so the caller says which hooks and this function builds them
      once the scheduler exists. *)
-  let slot_probe = Option.map (fun build -> build sched) cfg.slot_probe in
+  let hooks = cfg.hooks sched in
   let mac =
     Array.map
       (fun spec ->
         { spec; unknown = Queue.create (); predictor = Predictor.create One_step })
       cfg.flows
+  in
+  (* The hooks' view of what [select] was told: the same answers through
+     the non-mutating peek. *)
+  let peek_good ~slot i =
+    i = control
+    || Channel.state_is_good
+         (Predictor.peek mac.(i).predictor mac.(i).spec.channel ~slot)
   in
   let metrics = Core.Metrics.create ~n_flows:n () in
   let reveal_delay = Wfs_util.Stats.Summary.create () in
@@ -282,11 +288,16 @@ let run cfg =
     phase_end Core.Simulator.phase_transmit;
     phase_begin Core.Simulator.phase_slot_end;
     sched.on_slot_end ~slot;
-    (* The probe sees the data flows' true channel states; [selected] may be
+    (* Hooks see the data flows' true channel states; [selected] may be
        [Some n] (the control-flow index) on a control slot. *)
-    (match slot_probe with
-    | None -> ()
-    | Some probe -> probe ~slot ~selected ~states);
+    (match hooks with
+    | [] -> ()
+    | hooks ->
+        let predicted_good = peek_good ~slot in
+        List.iter
+          (fun (h : Core.Simulator.hook) ->
+            h ~slot ~selected ~states ~metrics ~predicted_good)
+          hooks);
     phase_end Core.Simulator.phase_slot_end
   done;
   {

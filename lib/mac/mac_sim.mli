@@ -41,13 +41,13 @@ type config = {
   horizon : int;
   rng : Wfs_util.Rng.t;  (** drives notification contention *)
   trace : Wfs_core.Tracelog.t option;
-  slot_probe :
-    (Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.slot_probe) option;
-      (** per-slot telemetry hook, as in {!Wfs_core.Simulator}, but passed
-          as a {e builder} (the WPS instance is internal to {!run}, exactly
-          like [Wfs_runner.Exec.run]'s [probe]); the probe's [states] array
-          covers the [n] data flows and [selected] may be [Some n] — the
-          control-flow index — on a control slot *)
+  hooks : Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.hook list;
+      (** end-of-slot hooks, as in {!Wfs_core.Simulator}, but passed as a
+          {e builder} (the WPS instance is internal to {!run}, exactly like
+          [Wfs_runner.Exec.run]'s [hooks]); a hook's [states] array covers
+          the [n] data flows, [selected] may be [Some n] — the control-flow
+          index — on a control slot, and [predicted_good] answers [true]
+          for the control flow *)
   profiler : Wfs_core.Simulator.profiler_hooks option;
       (** per-phase timing hooks, sharing {!Wfs_core.Simulator}'s phase ids
           (the contention resolution of a control slot is counted under the
@@ -59,15 +59,15 @@ val config :
   ?wps:Wfs_core.Params.wps ->
   ?contention:contention_policy ->
   ?trace:Wfs_core.Tracelog.t ->
-  ?slot_probe:
-    (Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.slot_probe) ->
+  ?hooks:
+    (Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.hook list) ->
   ?profiler:Wfs_core.Simulator.profiler_hooks ->
   rng:Wfs_util.Rng.t ->
   horizon:int ->
   flow_spec array ->
   config
 (** Defaults: control weight 1, full WPS ({!Wfs_core.Params.swapa}),
-    single-shot contention.
+    single-shot contention, no hooks.
     @raise Invalid_argument if two flows share an address, an address is the
     control address, or the horizon is negative. *)
 

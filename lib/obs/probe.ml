@@ -29,18 +29,15 @@ let standard reg =
   let max_lag = Instruments.gauge ~policy:Instruments.Max reg "probe.max-lag-sum" in
   { samples; idle; backlog; max_queue; vt; max_lag }
 
-let create ?(stride = 1) ?(sinks = []) ?instruments ~n_flows
-    (sched : Sched.instance) : Wfs_core.Simulator.slot_probe =
-  if stride < 1 then Error.bad_config ~who:"Probe.create" "stride must be >= 1";
-  if n_flows < 1 then Error.bad_config ~who:"Probe.create" "n_flows must be >= 1";
+let sampler ~stride ~n_flows (sched : Sched.instance) emit :
+    Wfs_core.Simulator.hook =
   let p = sched.Sched.probe in
   let tag_of = p.Sched.finish_tag in
   let credit_of = p.Sched.credit in
   let vt_of = p.Sched.virtual_time in
   let lag_of = p.Sched.lag_sum in
   let queue_of = sched.Sched.queue_length in
-  let std = Option.map standard instruments in
-  fun ~slot ~selected ~states ->
+  fun ~slot ~selected ~states ~metrics:_ ~predicted_good:_ ->
     if slot mod stride = 0 then begin
       let flows =
         Array.init n_flows (fun i ->
@@ -60,24 +57,31 @@ let create ?(stride = 1) ?(sinks = []) ?instruments ~n_flows
         match vt_of with None -> None | Some f -> Some (f ())
       in
       let lag_sum = match lag_of with None -> None | Some f -> Some (f ()) in
-      let sample = { Trace.slot; selected; virtual_time; lag_sum; flows } in
+      emit { Trace.slot; selected; virtual_time; lag_sum; flows }
+    end
+
+let create ?(stride = 1) ?(sinks = []) ?instruments ~n_flows
+    (sched : Sched.instance) : Wfs_core.Simulator.hook =
+  if stride < 1 then Error.bad_config ~who:"Probe.create" "stride must be >= 1";
+  if n_flows < 1 then Error.bad_config ~who:"Probe.create" "n_flows must be >= 1";
+  let std = Option.map standard instruments in
+  sampler ~stride ~n_flows sched (fun (sample : Trace.sample) ->
       List.iter (fun sink -> Sink.write sink sample) sinks;
       match std with
       | None -> ()
       | Some s ->
           Instruments.incr s.samples;
-          if Option.is_none selected then Instruments.incr s.idle;
+          if Option.is_none sample.selected then Instruments.incr s.idle;
           let total = ref 0 in
           Array.iter
             (fun (f : Trace.flow_sample) ->
               total := !total + f.Trace.queue;
               Instruments.set s.max_queue (float_of_int f.Trace.queue))
-            flows;
+            sample.flows;
           Instruments.observe s.backlog (float_of_int !total);
-          (match virtual_time with
+          (match sample.virtual_time with
           | None -> ()
           | Some v -> Instruments.set s.vt v);
-          match lag_sum with
+          match sample.lag_sum with
           | None -> ()
-          | Some l -> Instruments.set s.max_lag (float_of_int l)
-    end
+          | Some l -> Instruments.set s.max_lag (float_of_int l))

@@ -1,5 +1,5 @@
-(** Per-slot telemetry probe: a {!Wfs_core.Simulator.slot_probe} built from
-    a scheduler instance.
+(** Per-slot telemetry probe: an end-of-slot {!Wfs_core.Simulator.hook}
+    built from a scheduler instance.
 
     The probe is constructed {e after} the scheduler, captures the
     scheduler's read-only {!Wfs_core.Wireless_sched.probe} accessors
@@ -8,7 +8,7 @@
     perturb the run), and on every [stride]-th slot emits one
     {!Trace.sample} to each sink and updates the standard instrument set.
 
-    The cost model: with no probe configured the simulator pays one branch
+    The cost model: with no hook attached the simulator pays one branch
     per slot; with a probe, non-sampled slots pay one extra [mod] and
     sampled slots pay the sample construction (O(flows)).  The probe never
     mutates scheduler state, so a probed run's delivered/dropped counts are
@@ -29,7 +29,7 @@ val create :
   ?instruments:Instruments.t ->
   n_flows:int ->
   Wfs_core.Wireless_sched.instance ->
-  Wfs_core.Simulator.slot_probe
+  Wfs_core.Simulator.hook
 (** [create ~n_flows sched] samples every slot by default; [stride]
     samples slots [0, stride, 2·stride, ...].  [n_flows] must match the
     length of the simulator's channel-state array (for {!Wfs_mac.Mac_sim}
@@ -37,3 +37,15 @@ val create :
     index).
     @raise Wfs_util.Error.Error (kind [Bad_config]) when [stride < 1] or
     [n_flows < 1]. *)
+
+val sampler :
+  stride:int ->
+  n_flows:int ->
+  Wfs_core.Wireless_sched.instance ->
+  (Trace.sample -> unit) ->
+  Wfs_core.Simulator.hook
+(** The sample builder {!create} and [Wfs_xray.Mux.probe] share: a hook
+    that, on every [stride]-th slot, builds one {!Trace.sample} of the
+    first [n_flows] flows (queue, true channel state, finish tag, credit
+    balance, then virtual time and lag sum) and hands it to the emitter.
+    It validates nothing: [stride] and [n_flows] must be [>= 1]. *)

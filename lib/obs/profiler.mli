@@ -24,7 +24,7 @@ val create : unit -> t
 
 val hooks : t -> Wfs_core.Simulator.profiler_hooks
 (** Phase hooks bound to this accumulator.  Pass to
-    [Simulator.config ~profiler] / [Mac_sim.config ~profiler]. *)
+    [Sim_config.with_profiler] / [Mac_sim.config ~profiler]. *)
 
 val span : t -> string -> (unit -> 'a) -> 'a
 (** [span t name f] times [f ()]; nesting is recorded via depth.  The span

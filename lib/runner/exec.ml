@@ -21,12 +21,11 @@ let setups_of (spec : Spec.t) =
       sc.Core.Scenario.setups
 
 (* Optional-to-builder adapter: apply the step only when the caller passed
-   the knob, so the built config is field-for-field what the legacy
-   optional-argument constructor produced. *)
+   the knob. *)
 let maybe step opt t = match opt with None -> t | Some v -> step v t
 
-let run ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe ?profiler
-    ?histograms ?invariants ?fast_path ?skip_stats (spec : Spec.t) =
+let run ?credit_limit ?debit_limit ?limits ?(hooks = fun _ -> []) ?trace
+    ?profiler ?histograms ?fast_path ?skip_stats (spec : Spec.t) =
   (match spec.topo with
   | Some _ ->
       (* Exec drives exactly one cell; the multi-cell driver lives a layer
@@ -38,19 +37,18 @@ let run ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe ?profiler
   let setups = setups_of spec in
   let flows = Core.Presets.flows_of setups in
   let sched = entry.Core.Registry.make ?credit_limit ?debit_limit ?limits flows in
-  (* The scheduler instance exists only here, so telemetry probes arrive as
-     builders: the caller says how to probe, this function says what. *)
-  let slot_probe = Option.map (fun build -> build sched) probe in
-  Core.Sim_config.v ~horizon:spec.horizon setups
-  |> Core.Sim_config.with_predictor entry.Core.Registry.predictor
-  |> maybe Core.Sim_config.with_observer observer
-  |> maybe Core.Sim_config.with_trace trace
-  |> maybe Core.Sim_config.with_probe slot_probe
-  |> maybe Core.Sim_config.with_profiler profiler
-  |> maybe (fun on t -> if on then Core.Sim_config.with_histograms t else t) histograms
-  |> maybe (fun on t -> if on then Core.Sim_config.with_invariants t else t) invariants
-  |> maybe Core.Sim_config.with_fast_path fast_path
-  |> maybe Core.Sim_config.with_skip_stats skip_stats
+  (* The scheduler instance exists only here, so hooks arrive as a
+     builder: the caller says which hooks, this function builds them. *)
+  let cfg =
+    Core.Sim_config.v ~horizon:spec.horizon setups
+    |> Core.Sim_config.with_predictor entry.Core.Registry.predictor
+    |> maybe Core.Sim_config.with_trace trace
+    |> maybe Core.Sim_config.with_profiler profiler
+    |> maybe (fun on t -> if on then Core.Sim_config.with_histograms t else t) histograms
+    |> maybe Core.Sim_config.with_fast_path fast_path
+    |> maybe Core.Sim_config.with_skip_stats skip_stats
+  in
+  List.fold_left (fun c h -> Core.Sim_config.with_hook h c) cfg (hooks sched)
   |> Core.Sim_config.run sched
 
 (* The flight recorder is a capacity-bounded Tracelog: cheap enough to
@@ -66,9 +64,9 @@ let flight_context tr =
       String.concat " | " (List.map Wfs_core.Tracelog.entry_to_string events) );
   ]
 
-let run_outcome ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe
-    ?profiler ?flight_recorder ?histograms ?invariants ?fast_path ?skip_stats
-    ?max_slots (spec : Spec.t) =
+let run_outcome ?credit_limit ?debit_limit ?limits ?hooks ?trace ?profiler
+    ?flight_recorder ?histograms ?fast_path ?skip_stats ?max_slots
+    (spec : Spec.t) =
   let module Error = Wfs_util.Error in
   let spec_context = [ ("spec", Spec.to_string spec) ] in
   let recorder =
@@ -110,8 +108,8 @@ let run_outcome ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe
         match recorder with None -> [] | Some tr -> flight_context tr
       in
       match
-        run ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe
-          ?profiler ?histograms ?invariants ?fast_path ?skip_stats spec
+        run ?credit_limit ?debit_limit ?limits ?hooks ?trace ?profiler
+          ?histograms ?fast_path ?skip_stats spec
       with
       | metrics -> Ok metrics
       | exception exn ->

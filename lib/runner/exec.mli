@@ -11,8 +11,8 @@
 val setups_of : Spec.t -> Wfs_core.Simulator.flow_setup array
 (** The spec's seeded flow setups (source/channel streams split from the
     spec seed), freshly built — sources and channels are stateful, so each
-    run needs its own.  Exposed for drivers that assemble a custom
-    {!Wfs_core.Simulator.config} (e.g. to attach a fairness monitor).
+    run needs its own.  Exposed for callers that build their own
+    {!Wfs_core.Sim_config} (e.g. to attach a fairness monitor).
     @raise Wfs_util.Error.Error (kind [Bad_spec]) / [Sys_error] on a bad
     file *)
 
@@ -20,25 +20,24 @@ val run :
   ?credit_limit:int ->
   ?debit_limit:int ->
   ?limits:(int * int) array ->
-  ?observer:(int -> Wfs_core.Metrics.t -> unit) ->
+  ?hooks:(Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.hook list) ->
   ?trace:Wfs_core.Tracelog.t ->
-  ?probe:(Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.slot_probe) ->
   ?profiler:Wfs_core.Simulator.profiler_hooks ->
   ?histograms:bool ->
-  ?invariants:bool ->
   ?fast_path:bool ->
   ?skip_stats:Wfs_core.Skip_stats.t ->
   Spec.t ->
   Wfs_core.Metrics.t
 (** Run one spec to completion in the calling domain.  The optional
-    scheduler knobs are forwarded to the registry constructor; [observer],
-    [histograms], [invariants], [fast_path] and [skip_stats] to
-    {!Wfs_core.Simulator.config} ([skip_stats] records fast-path skip
-    telemetry without degenerating the compressed engine).
-    [probe] is a {e builder}: the scheduler instance only exists inside
-    this call, so the caller passes a function from instance to slot probe
-    (e.g. [Wfs_obs.Probe.create ~n_flows]) and it is invoked once, after
-    scheduler construction.  For a
+    scheduler knobs are forwarded to the registry constructor; [trace],
+    [profiler], [histograms], [fast_path] and [skip_stats] to the
+    {!Wfs_core.Sim_config} step of the same name ([skip_stats] records
+    fast-path skip telemetry without degenerating the compressed engine).
+    [hooks] is a {e builder}: the scheduler instance only exists inside
+    this call, so the caller passes a function from instance to hook list
+    (e.g. [fun sched -> [Wfs_core.Invariant.hook sched;
+    Wfs_obs.Probe.create ~n_flows sched]]).  It is invoked once, after
+    scheduler construction, and its hooks run in list order.  For a
     [File] scenario the spec's seed/horizon override the file's
     directives, and the scheduler entry's predictor overrides the file's
     [predictor] line (the registry name states the channel knowledge,
@@ -49,20 +48,18 @@ val run :
     through [Wfs_topo.Topology.of_spec]
     @raise Wfs_util.Error.Error (kind [Bad_spec]) / [Sys_error] on a bad
     file
-    @raise Wfs_util.Error.Error (kind [Invariant_violation]) when
-    [invariants] is on and a monitor fires *)
+    @raise Wfs_util.Error.Error (kind [Invariant_violation]) when an
+    {!Wfs_core.Invariant.hook} fires *)
 
 val run_outcome :
   ?credit_limit:int ->
   ?debit_limit:int ->
   ?limits:(int * int) array ->
-  ?observer:(int -> Wfs_core.Metrics.t -> unit) ->
+  ?hooks:(Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.hook list) ->
   ?trace:Wfs_core.Tracelog.t ->
-  ?probe:(Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.slot_probe) ->
   ?profiler:Wfs_core.Simulator.profiler_hooks ->
   ?flight_recorder:int ->
   ?histograms:bool ->
-  ?invariants:bool ->
   ?fast_path:bool ->
   ?skip_stats:Wfs_core.Skip_stats.t ->
   ?max_slots:int ->

@@ -19,7 +19,7 @@ type parcel = {
 
 (* Observability tap: every callback fires from sequential code only —
    [on_roster] and [on_carry] from install (cell creation and the epoch
-   barrier's rebuild), and the probe builder once per install.  The probe
+   barrier's rebuild), and the probe builder once per install.  The hook
    it returns is the only tap artifact that runs inside the parallel
    phase, and it writes exclusively to per-cell state (Wfs_xray.Mux part
    files), so cross-domain ordering never exists. *)
@@ -29,7 +29,7 @@ type tap = {
     cell:int ->
     n_flows:int ->
     Sched.instance ->
-    Wfs_core.Simulator.slot_probe option;
+    Wfs_core.Simulator.hook option;
   on_carry :
     cell:int ->
     slot:int ->
@@ -159,20 +159,21 @@ let install t ~slot parcels =
           (fun pkt -> sched.Sched.enqueue ~slot { pkt with Packet.flow = lid })
           p.backlog)
       parcels;
+    let probe =
+      match t.tap with
+      | Some tp -> tp.probe ~cell:t.cell_id ~n_flows:(Array.length members) sched
+      | None -> None
+    in
+    (* Hooks keep per-run state, so every install builds fresh ones: the
+       invariant monitor first, then the tap's probe. *)
     let cfg =
       Sim_config.v ~horizon:t.horizon setups
       |> Sim_config.with_predictor t.entry.Registry.predictor
       |> (if t.histograms then Sim_config.with_histograms else Fun.id)
-      |> (if t.invariants then Sim_config.with_invariants else Fun.id)
       |> Sim_config.with_fast_path t.fast_path
-      |> (match t.tap with
-         | Some tp -> (
-             match
-               tp.probe ~cell:t.cell_id ~n_flows:(Array.length members) sched
-             with
-             | Some p -> Sim_config.with_probe p
-             | None -> Fun.id)
-         | None -> Fun.id)
+      |> (if t.invariants then Sim_config.with_hook (Wfs_core.Invariant.hook sched)
+          else Fun.id)
+      |> match probe with Some p -> Sim_config.with_hook p | None -> Fun.id
     in
     t.sched <- Some sched;
     t.session <- Some (Sim_config.start ~first_slot:slot sched cfg)

@@ -46,18 +46,19 @@ type parcel = {
     position) at creation and at every barrier rebuild; [on_carry] reports
     each {e moved} parcel's carried vs accepted lag/credit during a
     rebuild's import pass; [probe] is invoked once per (re)build with the
-    fresh scheduler instance and may return a slot probe to attach to the
-    new session — the only tap artifact running inside the parallel phase,
-    so it must write to per-cell state only (e.g. a [Wfs_xray.Mux] part).
-    Attaching a probe degenerates that cell's fast path, exactly like a
-    single-cell probed run. *)
+    fresh scheduler instance and may return an end-of-slot hook to attach
+    to the new session, after the invariant monitor when [invariants] is
+    on — the only tap artifact running inside the parallel phase, so it
+    must write to per-cell state only (e.g. a [Wfs_xray.Mux] part).
+    Returning a hook degenerates that cell's fast path, exactly like a
+    single-cell probed run; returning [None] keeps it. *)
 type tap = {
   on_roster : cell:int -> slot:int -> gids:int array -> unit;
   probe :
     cell:int ->
     n_flows:int ->
     Sched.instance ->
-    Wfs_core.Simulator.slot_probe option;
+    Wfs_core.Simulator.hook option;
   on_carry :
     cell:int ->
     slot:int ->

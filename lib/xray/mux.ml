@@ -2,7 +2,6 @@ module Json = Wfs_util.Json
 module Error = Wfs_util.Error
 module Jsonl = Wfs_util.Jsonl
 module Sched = Wfs_core.Wireless_sched
-module Channel = Wfs_channel.Channel
 module Trace = Wfs_obs.Trace
 
 let schema = "wfs-xray-trace/1"
@@ -122,42 +121,12 @@ let note_roster t ~cell ~slot ~gids =
     Error.bad_config ~who:"Mux.note_roster" "cell out of range";
   write_entry t (Roster { cell; slot; gids })
 
-let probe t ~cell ~n_flows (sched : Sched.instance) :
-    Wfs_core.Simulator.slot_probe =
+let probe t ~cell ~n_flows (sched : Sched.instance) : Wfs_core.Simulator.hook =
   if cell < 0 || cell >= t.cells then
     Error.bad_config ~who:"Mux.probe" "cell out of range";
   if n_flows < 1 then Error.bad_config ~who:"Mux.probe" "n_flows must be >= 1";
-  let p = sched.Sched.probe in
-  let tag_of = p.Sched.finish_tag in
-  let credit_of = p.Sched.credit in
-  let vt_of = p.Sched.virtual_time in
-  let lag_of = p.Sched.lag_sum in
-  let queue_of = sched.Sched.queue_length in
-  let stride = t.stride in
-  fun ~slot ~selected ~states ->
-    if slot mod stride = 0 then begin
-      let flows =
-        Array.init n_flows (fun i ->
-            {
-              Trace.queue = queue_of i;
-              good = Channel.state_is_good states.(i);
-              tag = (match tag_of with None -> None | Some f -> Some (f i));
-              credit =
-                (match credit_of with
-                | None -> None
-                | Some f ->
-                    let balance, _, _ = f i in
-                    Some balance);
-            })
-      in
-      let virtual_time =
-        match vt_of with None -> None | Some f -> Some (f ())
-      in
-      let lag_sum = match lag_of with None -> None | Some f -> Some (f ()) in
-      write_entry t
-        (Sample
-           { cell; sample = { Trace.slot; selected; virtual_time; lag_sum; flows } })
-    end
+  Wfs_obs.Probe.sampler ~stride:t.stride ~n_flows sched (fun sample ->
+      write_entry t (Sample { cell; sample }))
 
 let close_parts t = Array.iter (fun p -> flush p.oc; close_out_noerr p.oc) t.parts
 

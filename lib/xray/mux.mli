@@ -68,10 +68,11 @@ val probe :
   cell:int ->
   n_flows:int ->
   Wfs_core.Wireless_sched.instance ->
-  Wfs_core.Simulator.slot_probe
-(** A slot probe sampling every [stride]-th slot into the cell's part —
-    the same quantities as [Wfs_obs.Probe.create] (queue depths, channel
-    states, finish tags, credits, virtual time, lag sum).  [n_flows] is
+  Wfs_core.Simulator.hook
+(** An end-of-slot hook sampling every [stride]-th slot into the cell's
+    part, through the sample builder [Wfs_obs.Probe.create] uses
+    ([Wfs_obs.Probe.sampler]: queue depths, channel states, finish tags,
+    credits, virtual time, lag sum).  [n_flows] is
     the CELL's current membership size. *)
 
 val finish : t -> n_flows:int -> ?jsonl:string -> ?csv:string -> unit -> unit

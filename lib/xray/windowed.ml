@@ -195,7 +195,9 @@ let flush t ~slot ~metrics =
 
 let windows t = List.rev t.rev
 
-let observer t = fun slot metrics -> observe t ~slot ~metrics
+let hook t : Wfs_core.Simulator.hook =
+ fun ~slot ~selected:_ ~states:_ ~metrics ~predicted_good:_ ->
+  observe t ~slot ~metrics
 
 (* --- file round-trip: a framed stream whose header carries the window
    length. --- *)

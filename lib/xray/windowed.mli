@@ -7,7 +7,7 @@
     index, the paper's eq-(1) normalized-service gap (over flows that had
     traffic in the window), and the window's arrival / delivery / drop /
     backlog / loss deltas.  Single-cell runs feed it every slot through
-    {!observer}; a topology feeds it at epoch barriers via
+    {!hook}; a topology feeds it at epoch barriers via
     [Wfs_topo.Topology.peek_metrics] — when sampling is sparser than the
     window length, [start_slot] / [end_slot] record the span actually
     covered, so the stream never claims resolution the sampling lacked. *)
@@ -58,9 +58,9 @@ val flush : t -> slot:int -> metrics:Wfs_core.Metrics.t -> unit
 
 val windows : t -> window list
 
-val observer : t -> int -> Wfs_core.Metrics.t -> unit
-(** Adapter with the {!Wfs_core.Simulator.config} observer shape.  NOTE:
-    attaching an observer degenerates the fast path — windowed aggregation
+val hook : t -> Wfs_core.Simulator.hook
+(** {!observe} as an end-of-slot {!Wfs_core.Simulator.hook}.  NOTE:
+    attaching a hook degenerates the fast path — windowed aggregation
     per slot is a reference-loop instrument; topology runs sample at
     barriers instead and stay compressed. *)
 

@@ -199,12 +199,10 @@ let test_fairness_monitor_on_fair_schedule () =
           channel = Wfs_channel.Error_free.create ();
         })
   in
-  let cfg =
-    Core.Simulator.config
-      ~observer:(Core.Fairness.Monitor.observer monitor)
-      ~horizon:5_000 setups
-  in
-  ignore (Core.Simulator.run cfg sched);
+  ignore
+    (Core.Sim_config.v ~horizon:5_000 setups
+    |> Core.Sim_config.with_hook (Core.Fairness.Monitor.hook monitor)
+    |> Core.Sim_config.run sched);
   check_bool "windows sampled" true (Core.Fairness.Monitor.windows_sampled monitor > 50);
   check_bool "near-perfect Jain" true (Core.Fairness.Monitor.mean_jain monitor > 0.999);
   check_bool "tiny gap" true (Core.Fairness.Monitor.worst_gap monitor <= 1.)
@@ -229,12 +227,11 @@ let test_fairness_monitor_detects_unfairness () =
              else Wfs_channel.Error_free.create ());
         })
   in
-  let cfg =
-    Core.Simulator.config ~predictor:Wfs_channel.Predictor.Perfect
-      ~observer:(Core.Fairness.Monitor.observer monitor)
-      ~horizon:5_000 setups
-  in
-  ignore (Core.Simulator.run cfg sched);
+  ignore
+    (Core.Sim_config.v ~horizon:5_000 setups
+    |> Core.Sim_config.with_predictor Wfs_channel.Predictor.Perfect
+    |> Core.Sim_config.with_hook (Core.Fairness.Monitor.hook monitor)
+    |> Core.Sim_config.run sched);
   check_bool "gap visible" true (Core.Fairness.Monitor.worst_gap monitor > 5.);
   check_bool "Jain below 1" true (Core.Fairness.Monitor.mean_jain monitor < 0.999)
 
@@ -389,12 +386,12 @@ let test_csdps_no_compensation_vs_wps () =
                else Wfs_channel.Error_free.create ());
           })
     in
-    let cfg =
-      Core.Simulator.config ~predictor:Wfs_channel.Predictor.One_step
-        ~observer:(Core.Fairness.Monitor.observer monitor)
-        ~horizon setups
+    let m =
+      Core.Sim_config.v ~horizon setups
+      |> Core.Sim_config.with_predictor Wfs_channel.Predictor.One_step
+      |> Core.Sim_config.with_hook (Core.Fairness.Monitor.hook monitor)
+      |> Core.Sim_config.run sched
     in
-    let m = Core.Simulator.run cfg sched in
     (Core.Fairness.Monitor.mean_jain monitor, Core.Metrics.delivered m ~flow:1)
   in
   let jain_csdps, delivered_csdps =
@@ -507,11 +504,11 @@ let test_cifq_in_simulator () =
   let setups = Core.Presets.example1 ~seed:5 () in
   let flows = Core.Presets.flows_of setups in
   let sched = Core.Cifq.instance (Core.Cifq.create flows) in
-  let cfg =
-    Core.Simulator.config ~predictor:Wfs_channel.Predictor.One_step
-      ~horizon:30_000 setups
+  let m =
+    Core.Sim_config.v ~horizon:30_000 setups
+    |> Core.Sim_config.with_predictor Wfs_channel.Predictor.One_step
+    |> Core.Sim_config.run sched
   in
-  let m = Core.Simulator.run cfg sched in
   check_bool "throughput delivered" true
     (Core.Metrics.throughput m ~flow:1 ~slots:30_000 > 0.49);
   check_bool "errored flow served" true
@@ -632,8 +629,7 @@ let prop_conservation =
       let conserves sched_of =
         let setups = mk_setups () in
         let sched = sched_of flows in
-        let cfg = Core.Simulator.config ~horizon:3_000 setups in
-        let m = Core.Simulator.run cfg sched in
+        let m = Core.Sim_config.(v ~horizon:3_000 setups |> run sched) in
         let ok = ref true in
         for i = 0 to n_flows - 1 do
           let arr = Core.Metrics.arrivals m ~flow:i in
@@ -761,8 +757,8 @@ let prop_per_flow_fifo =
                     ~pg:0.1 ~pe:0.1 ();
               })
         in
-        let cfg = Core.Simulator.config ~trace ~horizon:2_000 setups in
-        ignore (Core.Simulator.run cfg sched);
+        ignore
+          Core.Sim_config.(v ~horizon:2_000 setups |> with_trace trace |> run sched);
         let last_seq = Array.make n (-1) in
         List.for_all
           (fun { Wfs_core.Tracelog.event; _ } ->

@@ -360,7 +360,10 @@ let test_invariants_clean_on_real_schedulers () =
   List.iter
     (fun sp ->
       let off = Core.Metrics.to_json (Exec.run sp) in
-      let on = Core.Metrics.to_json (Exec.run ~invariants:true sp) in
+      let on =
+        Core.Metrics.to_json
+          (Exec.run ~hooks:(fun sched -> [ Core.Invariant.hook sched ]) sp)
+      in
       check_str
         (Printf.sprintf "%s identical under monitors" sp.Spec.sched)
         (Json.to_string ~pretty:false off)
@@ -377,13 +380,14 @@ let test_invariants_do_not_perturb_snoop () =
     let sched =
       Core.Presets.(scheduler Swapa (flows_of setups))
     in
-    let cfg =
-      Core.Simulator.config
-        ~predictor:(Wfs_channel.Predictor.Periodic_snoop 4)
-        ~invariants ~horizon:3_000 setups
+    let m =
+      Core.Sim_config.v ~horizon:3_000 setups
+      |> Core.Sim_config.with_predictor (Wfs_channel.Predictor.Periodic_snoop 4)
+      |> (if invariants then Core.Sim_config.with_hook (Core.Invariant.hook sched)
+          else Fun.id)
+      |> Core.Sim_config.run sched
     in
-    Json.to_string ~pretty:false
-      (Core.Metrics.to_json (Core.Simulator.run cfg sched))
+    Json.to_string ~pretty:false (Core.Metrics.to_json m)
   in
   check_str "Periodic_snoop identical under monitors" (run false) (run true)
 

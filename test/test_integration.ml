@@ -17,11 +17,9 @@ let run ?(horizon = horizon) ?limits ~setups name =
   let entry = Core.Registry.get name in
   let flows = P.flows_of setups in
   let sched = entry.Core.Registry.make ?limits flows in
-  let cfg =
-    Core.Simulator.config ~predictor:entry.Core.Registry.predictor ~horizon
-      setups
-  in
-  Core.Simulator.run cfg sched
+  Core.Sim_config.v ~horizon setups
+  |> Core.Sim_config.with_predictor entry.Core.Registry.predictor
+  |> Core.Sim_config.run sched
 
 let example1_metrics ?sum name = run ~setups:(P.example1 ?sum ~seed ()) name
 
@@ -277,11 +275,12 @@ let test_metrics_histograms () =
   let setups = P.example1 ~seed ~sum:0.1 () in
   let entry = Core.Registry.get "WPS" in
   let sched = entry.Core.Registry.make (P.flows_of setups) in
-  let cfg =
-    Core.Simulator.config ~predictor:entry.Core.Registry.predictor
-      ~histograms:true ~horizon:20_000 setups
+  let m =
+    Core.Sim_config.v ~horizon:20_000 setups
+    |> Core.Sim_config.with_predictor entry.Core.Registry.predictor
+    |> Core.Sim_config.with_histograms
+    |> Core.Sim_config.run sched
   in
-  let m = Core.Simulator.run cfg sched in
   let p50 = Core.Metrics.delay_percentile m ~flow:0 ~p:50. in
   let p99 = Core.Metrics.delay_percentile m ~flow:0 ~p:99. in
   check_bool "percentiles ordered" true (p50 <= p99);

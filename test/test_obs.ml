@@ -187,7 +187,7 @@ let run_registry seed =
   let n_flows = Array.length (Exec.setups_of spec) in
   let _metrics =
     Exec.run
-      ~probe:(fun sched -> Probe.create ~instruments:reg ~n_flows sched)
+      ~hooks:(fun sched -> [ Probe.create ~instruments:reg ~n_flows sched ])
       spec
   in
   reg
@@ -263,10 +263,10 @@ let test_flight_recorder_capacity_and_eviction () =
 
 let test_fault_report_carries_flight_events () =
   let spec = Spec.make ~seed:7 ~horizon:5000 ~sched:"SwapA-P" (Spec.example 1) in
-  let observer slot _ =
+  let fault ~slot ~selected:_ ~states:_ ~metrics:_ ~predicted_good:_ =
     if slot = 1500 then Error.sim_fault ~who:"test_obs" "injected fault"
   in
-  match Exec.run_outcome ~observer ~flight_recorder:8 spec with
+  match Exec.run_outcome ~hooks:(fun _ -> [ fault ]) ~flight_recorder:8 spec with
   | Ok _ -> Alcotest.fail "injected fault must fail the run"
   | Error e ->
       check_str "kind" "sim-fault" (Error.kind_to_string e.Error.kind);
@@ -311,9 +311,11 @@ let test_probed_run_is_lockstep () =
       let sink = Sink.jsonl ~path hdr in
       let probed =
         Exec.run
-          ~probe:(fun sched ->
-            Probe.create ~stride:3 ~sinks:[ sink ] ~instruments:reg ~n_flows
-              sched)
+          ~hooks:(fun sched ->
+            [
+              Probe.create ~stride:3 ~sinks:[ sink ] ~instruments:reg ~n_flows
+                sched;
+            ])
           spec
       in
       Sink.close sink;
@@ -331,7 +333,7 @@ let test_probe_validation () =
   let spec = Spec.make ~seed:1 ~horizon:10 ~sched:"SwapA-P" (Spec.example 1) in
   match
     Exec.run
-      ~probe:(fun sched -> Probe.create ~stride:0 ~n_flows:2 sched)
+      ~hooks:(fun sched -> [ Probe.create ~stride:0 ~n_flows:2 sched ])
       spec
   with
   | _ -> Alcotest.fail "stride 0 must be Bad_config"

@@ -1088,12 +1088,12 @@ let prop_event_cal_model =
 let metrics_fingerprint m =
   Wfs_util.Json.to_string (Core.Metrics.to_json m)
 
-let run_example ?probe ~fast ~sched ~example ~horizon ~seed () =
+let run_example ?hooks ~fast ~sched ~example ~horizon ~seed () =
   let spec =
     Wfs_runner.Spec.make ~seed ~horizon ~sched
       (Wfs_runner.Spec.example example)
   in
-  metrics_fingerprint (Wfs_runner.Exec.run ?probe ~fast_path:fast spec)
+  metrics_fingerprint (Wfs_runner.Exec.run ?hooks ~fast_path:fast spec)
 
 let test_fast_path_full_run_identity () =
   List.iter
@@ -1116,9 +1116,9 @@ let test_fast_path_probed_degenerates () =
       (Wfs_runner.Spec.example 2)
   in
   let n_flows = Array.length (Wfs_runner.Exec.setups_of spec) in
-  let probe sched = Wfs_obs.Probe.create ~n_flows sched in
-  let r = run_example ~probe ~fast:false ~sched:"SwapA-P" ~example:2 ~horizon:1000 ~seed:11 () in
-  let f = run_example ~probe ~fast:true ~sched:"SwapA-P" ~example:2 ~horizon:1000 ~seed:11 () in
+  let hooks sched = [ Wfs_obs.Probe.create ~n_flows sched ] in
+  let r = run_example ~hooks ~fast:false ~sched:"SwapA-P" ~example:2 ~horizon:1000 ~seed:11 () in
+  let f = run_example ~hooks ~fast:true ~sched:"SwapA-P" ~example:2 ~horizon:1000 ~seed:11 () in
   Alcotest.(check string) "probed run identical" r f
 
 (* Multi-cell topology with chaos faults: the fast path must stay

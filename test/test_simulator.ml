@@ -1,5 +1,5 @@
 (* Tests for the slotted simulator driver: arrival/transmission accounting,
-   drop policies, reproducibility, channel replay, metrics and observers. *)
+   drop policies, reproducibility, metrics and end-of-slot hooks. *)
 
 module Core = Wfs_core
 module Rng = Wfs_util.Rng
@@ -18,10 +18,11 @@ let cbr interarrival = Wfs_traffic.Cbr.create ~interarrival ()
 
 let wrr_sched flows = Core.Wps.instance (Core.Wps.create ~params:Core.Params.wrr flows)
 
+module C = Core.Sim_config
+
 let test_single_flow_error_free () =
   let setups = [| setup 0 ~source:(cbr 2.) ~channel:(Wfs_channel.Error_free.create ()) |] in
-  let cfg = Core.Simulator.config ~horizon:100 setups in
-  let m = Core.Simulator.run cfg (wrr_sched (Core.Presets.flows_of setups)) in
+  let m = C.v ~horizon:100 setups |> C.run (wrr_sched (Core.Presets.flows_of setups)) in
   check_int "all arrivals" 50 (Core.Metrics.arrivals m ~flow:0);
   check_int "all delivered" 50 (Core.Metrics.delivered m ~flow:0);
   check_int "no drops" 0 (Core.Metrics.dropped m ~flow:0);
@@ -34,15 +35,13 @@ let test_failed_attempts_and_retx_drop () =
   let source = Wfs_traffic.Trace_source.of_slots [ 0 ] in
   let channel = Wfs_channel.Periodic_ch.bad_burst ~start:0 ~length:10 in
   let setups = [| setup 0 ~drop:(Core.Params.Retx_limit 2) ~source ~channel |] in
-  let cfg =
-    Core.Simulator.config ~predictor:Wfs_channel.Predictor.Blind ~horizon:10
-      setups
-  in
   let m =
-    Core.Simulator.run cfg
-      (Core.Wps.instance
-         (Core.Wps.create ~params:Core.Params.blind_wrr
-            (Core.Presets.flows_of setups)))
+    C.v ~horizon:10 setups
+    |> C.with_predictor Wfs_channel.Predictor.Blind
+    |> C.run
+         (Core.Wps.instance
+            (Core.Wps.create ~params:Core.Params.blind_wrr
+               (Core.Presets.flows_of setups)))
   in
   check_int "three failed attempts" 3 (Core.Metrics.failed_attempts m ~flow:0);
   check_int "dropped after limit" 1 (Core.Metrics.dropped m ~flow:0);
@@ -54,8 +53,11 @@ let test_delay_bound_drop () =
   let source = Wfs_traffic.Trace_source.of_slots [ 0 ] in
   let channel = Wfs_channel.Periodic_ch.bad_burst ~start:0 ~length:50 in
   let setups = [| setup 0 ~drop:(Core.Params.Delay_bound 5) ~source ~channel |] in
-  let cfg = Core.Simulator.config ~predictor:Wfs_channel.Predictor.Perfect ~horizon:20 setups in
-  let m = Core.Simulator.run cfg (wrr_sched (Core.Presets.flows_of setups)) in
+  let m =
+    C.v ~horizon:20 setups
+    |> C.with_predictor Wfs_channel.Predictor.Perfect
+    |> C.run (wrr_sched (Core.Presets.flows_of setups))
+  in
   check_int "delay-bound drop" 1 (Core.Metrics.dropped m ~flow:0);
   check_int "no attempts (perfect skip)" 0 (Core.Metrics.failed_attempts m ~flow:0)
 
@@ -65,14 +67,13 @@ let test_retx_or_delay_policy () =
   let setups =
     [| setup 0 ~drop:(Core.Params.Retx_or_delay (100, 5)) ~source ~channel |]
   in
-  let cfg =
-    Core.Simulator.config ~predictor:Wfs_channel.Predictor.Blind ~horizon:20 setups
-  in
   let m =
-    Core.Simulator.run cfg
-      (Core.Wps.instance
-         (Core.Wps.create ~params:Core.Params.blind_wrr
-            (Core.Presets.flows_of setups)))
+    C.v ~horizon:20 setups
+    |> C.with_predictor Wfs_channel.Predictor.Blind
+    |> C.run
+         (Core.Wps.instance
+            (Core.Wps.create ~params:Core.Params.blind_wrr
+               (Core.Presets.flows_of setups)))
   in
   (* Delay bound fires first (age > 5). *)
   check_int "dropped by delay bound" 1 (Core.Metrics.dropped m ~flow:0);
@@ -82,10 +83,10 @@ let test_retx_or_delay_policy () =
 let test_deterministic_given_seed () =
   let run () =
     let setups = Core.Presets.example1 ~seed:123 () in
-    let cfg = Core.Simulator.config ~horizon:5_000 setups in
     let m =
-      Core.Simulator.run cfg
-        (Core.Presets.scheduler Core.Presets.Swapa (Core.Presets.flows_of setups))
+      C.v ~horizon:5_000 setups
+      |> C.run
+           (Core.Presets.scheduler Core.Presets.Swapa (Core.Presets.flows_of setups))
     in
     ( Core.Metrics.mean_delay m ~flow:0,
       Core.Metrics.delivered m ~flow:0,
@@ -97,53 +98,41 @@ let test_deterministic_given_seed () =
 let test_seed_changes_sample_path () =
   let run seed =
     let setups = Core.Presets.example1 ~seed () in
-    let cfg = Core.Simulator.config ~horizon:5_000 setups in
     let m =
-      Core.Simulator.run cfg
-        (Core.Presets.scheduler Core.Presets.Swapa (Core.Presets.flows_of setups))
+      C.v ~horizon:5_000 setups
+      |> C.run
+           (Core.Presets.scheduler Core.Presets.Swapa (Core.Presets.flows_of setups))
     in
     Core.Metrics.mean_delay m ~flow:0
   in
   check_bool "different seeds differ" true (run 1 <> run 2)
 
-let test_run_with_channels_replay () =
-  (* Replaying recorded channel states gives identical results to the live
-     run that produced them. *)
-  let mk () = Core.Presets.example1 ~seed:77 () in
-  let horizon = 2_000 in
-  (* Record states from fresh channels. *)
-  let recorded =
-    Array.map
-      (fun s -> Wfs_channel.Trace_ch.record s.Core.Simulator.channel ~slots:horizon)
-      (mk ())
-  in
-  let run_replay () =
-    let setups = mk () in
-    let cfg = Core.Simulator.config ~horizon setups in
-    let m =
-      Core.Simulator.run_with_channels cfg
-        (Core.Presets.scheduler Core.Presets.Swapa (Core.Presets.flows_of setups))
-        ~channel_states:recorded
-    in
-    (Core.Metrics.delivered m ~flow:0, Core.Metrics.mean_delay m ~flow:0)
-  in
-  check_bool "replay deterministic" true (run_replay () = run_replay ())
-
-let test_observer_called_every_slot () =
+let test_hooks_called_every_slot () =
   let setups = [| setup 0 ~source:(cbr 2.) ~channel:(Wfs_channel.Error_free.create ()) |] in
-  let calls = ref 0 in
-  let cfg =
-    Core.Simulator.config ~observer:(fun _slot _m -> incr calls) ~horizon:123 setups
+  (* Each hook logs (hook, slot); two hooks must alternate, first-added
+     first, once per slot. *)
+  let calls = ref [] in
+  let hook name ~slot ~selected:_ ~states:_ ~metrics:_ ~predicted_good:_ =
+    calls := (name, slot) :: !calls
   in
-  ignore (Core.Simulator.run cfg (wrr_sched (Core.Presets.flows_of setups)));
-  check_int "one call per slot" 123 !calls
+  ignore
+    (C.v ~horizon:123 setups
+    |> C.with_hook (hook "a")
+    |> C.with_hook (hook "b")
+    |> C.run (wrr_sched (Core.Presets.flows_of setups)));
+  Alcotest.(check (list (pair string int)))
+    "each hook once per slot, in the order added"
+    (List.concat_map (fun slot -> [ ("a", slot); ("b", slot) ]) (List.init 123 Fun.id))
+    (List.rev !calls)
 
 let test_trace_records_lifecycle () =
   let trace = Wfs_core.Tracelog.create () in
   let source = Wfs_traffic.Trace_source.of_slots [ 0; 1 ] in
   let setups = [| setup 0 ~source ~channel:(Wfs_channel.Error_free.create ()) |] in
-  let cfg = Core.Simulator.config ~trace ~horizon:5 setups in
-  ignore (Core.Simulator.run cfg (wrr_sched (Core.Presets.flows_of setups)));
+  ignore
+    (C.v ~horizon:5 setups
+    |> C.with_trace trace
+    |> C.run (wrr_sched (Core.Presets.flows_of setups)));
   let count p = Wfs_core.Tracelog.count trace p in
   check_int "2 arrivals" 2
     (count (fun e ->
@@ -163,8 +152,11 @@ let test_metrics_backlog_remaining () =
   let source = Wfs_traffic.Trace_source.create [ (0, 5) ] in
   let channel = Wfs_channel.Periodic_ch.bad_burst ~start:0 ~length:100 in
   let setups = [| setup 0 ~source ~channel |] in
-  let cfg = Core.Simulator.config ~predictor:Wfs_channel.Predictor.Perfect ~horizon:10 setups in
-  let m = Core.Simulator.run cfg (wrr_sched (Core.Presets.flows_of setups)) in
+  let m =
+    C.v ~horizon:10 setups
+    |> C.with_predictor Wfs_channel.Predictor.Perfect
+    |> C.run (wrr_sched (Core.Presets.flows_of setups))
+  in
   check_int "all 5 still queued" 5 (Core.Metrics.backlog_remaining m ~flow:0)
 
 let test_buffer_overflow_drops () =
@@ -182,12 +174,12 @@ let test_buffer_overflow_drops () =
   in
   let run ?trace () =
     let setups = setups () in
-    let cfg =
-      Core.Simulator.config ~predictor:Wfs_channel.Predictor.Perfect ?trace
-        ~horizon:5 setups
-    in
     let sched = wrr_sched (Core.Presets.flows_of setups) in
-    (Core.Simulator.run cfg sched, sched)
+    ( C.v ~horizon:5 setups
+      |> C.with_predictor Wfs_channel.Predictor.Perfect
+      |> (match trace with Some tr -> C.with_trace tr | None -> Fun.id)
+      |> C.run sched,
+      sched )
   in
   let m, sched = run () in
   check_int "7 dropped at the buffer" 7 (Core.Metrics.dropped m ~flow:0);
@@ -230,11 +222,16 @@ let test_scenario_buffer_attribute () =
 let test_config_validation () =
   let setups = [| setup 0 ~source:(cbr 2.) ~channel:(Wfs_channel.Error_free.create ()) |] in
   Alcotest.check_raises "negative horizon"
-    (Invalid_argument "Simulator.config: negative horizon") (fun () ->
-      ignore (Core.Simulator.config ~horizon:(-1) setups));
+    (Invalid_argument "Sim_config.v: negative horizon") (fun () ->
+      ignore (C.v ~horizon:(-1) setups));
   Alcotest.check_raises "no flows"
-    (Invalid_argument "Simulator.config: no flows") (fun () ->
-      ignore (Core.Simulator.config ~horizon:1 [||]))
+    (Invalid_argument "Sim_config.v: no flows") (fun () ->
+      ignore (C.v ~horizon:1 [||]));
+  Alcotest.check_raises "flow ids out of order"
+    (Invalid_argument "Sim_config.v: flow ids must be 0..n-1") (fun () ->
+      ignore
+        (C.v ~horizon:1
+           [| setup 1 ~source:(cbr 2.) ~channel:(Wfs_channel.Error_free.create ()) |]))
 
 let test_metrics_drop_share () =
   (* drop_share is per settled packet, loss per arrival: a saturated flow
@@ -319,8 +316,7 @@ let suite =
     ("retx-or-delay policy", `Quick, test_retx_or_delay_policy);
     ("deterministic given seed", `Quick, test_deterministic_given_seed);
     ("seed changes sample path", `Quick, test_seed_changes_sample_path);
-    ("channel replay", `Quick, test_run_with_channels_replay);
-    ("observer per slot", `Quick, test_observer_called_every_slot);
+    ("observer per slot", `Quick, test_hooks_called_every_slot);
     ("trace lifecycle", `Quick, test_trace_records_lifecycle);
     ("backlog remaining", `Quick, test_metrics_backlog_remaining);
     ("buffer overflow drops", `Quick, test_buffer_overflow_drops);

@@ -16,7 +16,7 @@ module Topology = Wfs_topo.Topology
 module Cell = Wfs_topo.Cell
 module Sched = Wfs_core.Wireless_sched
 module Registry = Wfs_core.Registry
-module Sim = Wfs_core.Simulator
+module C = Wfs_core.Sim_config
 module M = Wfs_core.Metrics
 module Json = Wfs_util.Json
 module Error = Wfs_util.Error
@@ -295,11 +295,12 @@ let single_cell_windows ~horizon ~window =
     Array.map (fun (f : Wfs_core.Params.flow) -> f.weight) flows
   in
   let w = Windowed.create ~weights ~window in
-  let cfg =
-    Sim.config ~predictor:entry.Registry.predictor
-      ~observer:(Windowed.observer w) ~horizon setups
+  let metrics =
+    C.v ~horizon setups
+    |> C.with_predictor entry.Registry.predictor
+    |> C.with_hook (Windowed.hook w)
+    |> C.run sched
   in
-  let metrics = Sim.run cfg sched in
   Windowed.flush w ~slot:(horizon - 1) ~metrics;
   (Windowed.windows w, metrics)
 
@@ -344,16 +345,18 @@ let test_windowed_rejects_bad_config () =
 let macro_spec ~horizon =
   Spec.make ~seed:11 ~horizon ~sched:"SwapA-P" (Spec.example 1)
 
-let run_with ?skip_stats ~fast_path ?observer ~horizon () =
+(* [attach] adds one more step, given the run's scheduler. *)
+let run_with ?skip_stats ~fast_path ?(attach = fun _ c -> c) ~horizon () =
   let spec = macro_spec ~horizon in
   let entry = Registry.get spec.Spec.sched in
   let setups = Exec.setups_of spec in
   let sched = entry.Registry.make (Wfs_core.Presets.flows_of setups) in
-  let cfg =
-    Sim.config ~predictor:entry.Registry.predictor ?skip_stats ?observer
-      ~fast_path ~horizon setups
-  in
-  Sim.run cfg sched
+  C.v ~horizon setups
+  |> C.with_predictor entry.Registry.predictor
+  |> C.with_fast_path fast_path
+  |> (match skip_stats with Some k -> C.with_skip_stats k | None -> Fun.id)
+  |> attach sched
+  |> C.run sched
 
 let test_skip_stats_stays_compressed () =
   let horizon = 20_000 in
@@ -373,15 +376,28 @@ let test_skip_stats_stays_compressed () =
   check_bool "max window bounded" true
     (Skip_stats.max_window k <= horizon)
 
+(* Every per-slot attachment puts the whole run on the reference loop. *)
 let test_skip_stats_sees_degeneration () =
-  let k = Skip_stats.create () in
-  ignore
-    (run_with ~skip_stats:k ~fast_path:true ~observer:(fun _ _ -> ())
-       ~horizon:2000 ());
-  check_bool "observer degenerated the run" false (Skip_stats.compressed k);
-  check_int "all slots on the reference loop" 2000
-    (Skip_stats.reference_slots k);
-  check_int "no engine slots" 0 (Skip_stats.engine_slots k)
+  let horizon = 2000 in
+  let n_flows = Array.length (Exec.setups_of (macro_spec ~horizon)) in
+  List.iter
+    (fun (name, attach) ->
+      let k = Skip_stats.create () in
+      ignore (run_with ~skip_stats:k ~fast_path:true ~attach ~horizon ());
+      check_bool (name ^ " degenerated the run") false (Skip_stats.compressed k);
+      check_int (name ^ ": all slots on the reference loop") horizon
+        (Skip_stats.reference_slots k);
+      check_int (name ^ ": no engine slots") 0 (Skip_stats.engine_slots k))
+    [
+      ( "a plain hook",
+        fun _ ->
+          C.with_hook (fun ~slot:_ ~selected:_ ~states:_ ~metrics:_ ~predicted_good:_ -> ()) );
+      ("the invariant hook", fun sched -> C.with_hook (Wfs_core.Invariant.hook sched));
+      ("a probe hook", fun sched -> C.with_hook (Wfs_obs.Probe.create ~n_flows sched));
+      ("an enabled trace", fun _ -> C.with_trace (Wfs_core.Tracelog.create ()));
+      ( "a profiler",
+        fun _ -> C.with_profiler (Wfs_obs.Profiler.hooks (Wfs_obs.Profiler.create ())) );
+    ]
 
 let test_skip_stats_merge_and_json () =
   let a = Skip_stats.create () and b = Skip_stats.create () in
