@@ -10,8 +10,9 @@
    typed error lands in the failure list, its key stays absent from the
    lookup table, and {!Missing} lets the render phase skip just the
    sections that needed it.  With [resume] set, every completed result is
-   also journaled as it finishes ({!Wfs_runner.Journal}), and a restarted
-   sweep replays the journal instead of re-running those keys. *)
+   also journaled, in job order, once the jobs before it have finished
+   ({!Wfs_runner.Journal}), and a restarted sweep replays the journal
+   instead of re-running those keys. *)
 
 module Core = Wfs_core
 module Json = Wfs_util.Json
@@ -201,12 +202,33 @@ let exec ~opts job_list =
     Printf.printf
       "running %d simulations on %d domain(s) (%d resumed from journal)...\n%!"
       (Array.length pending) (max 1 opts.jobs) (Hashtbl.length cached);
+  (* Journal in job order, so the file's bytes do not depend on which
+     worker finishes first: a completion that arrives ahead of an earlier
+     job's is held until every job before it has reported, then the
+     in-order prefix is appended.  A failed job appends nothing but still
+     moves the prefix on. *)
   let notify =
     Option.map
-      (fun w i outcome ->
-        match outcome with
-        | Ok r -> Journal.append w ~key:pending.(i).key ~value:(result_to_json r)
-        | Error _ -> ())
+      (fun w ->
+        let held = Array.make (Array.length pending) None in
+        let next = ref 0 in
+        let rec flush () =
+          if !next < Array.length held then
+            match held.(!next) with
+            | None -> ()
+            | Some outcome ->
+                (match outcome with
+                | Ok r ->
+                    Journal.append w ~key:pending.(!next).key
+                      ~value:(result_to_json r)
+                | Error _ -> ());
+                held.(!next) <- None;
+                incr next;
+                flush ()
+        in
+        fun i outcome ->
+          held.(i) <- Some outcome;
+          flush ())
       writer
   in
   let outcomes =

@@ -7,9 +7,10 @@
     Execution is crash-isolated ({!Wfs_runner.Pool.map_outcomes}): a job
     that raises loses only itself, and its typed error is returned in the
     failure list.  With [resume] set, completed results are checkpointed
-    line-by-line to a {!Wfs_runner.Journal} and a rerun over the same
-    journal skips the completed keys — final tables are byte-identical to
-    an uninterrupted sweep. *)
+    line-by-line to a {!Wfs_runner.Journal}, in job order whatever order
+    the workers finish in, and a rerun over the same journal skips the
+    completed keys — final tables are byte-identical to an uninterrupted
+    sweep, and two runs of one sweep write identical journals. *)
 
 type result =
   | Metrics of Wfs_core.Metrics.t
@@ -77,10 +78,10 @@ val result_of_json : Wfs_util.Json.t -> result option
 val exec : opts:opts -> job list -> stats * (string -> result) * failure list
 (** Dedup by key (first occurrence wins), subtract keys already in the
     resume journal, run the remaining jobs crash-isolated on the pool
-    (journaling each completion), and return counts, a lookup function,
-    and the per-job failures in submission order.  The lookup raises
-    {!Missing} for a failed key and [Invalid_argument] for a key that was
-    never submitted.
+    (journaling each result once every earlier job has finished), and
+    return counts, a lookup function, and the per-job failures in
+    submission order.  The lookup raises {!Missing} for a failed key and
+    [Invalid_argument] for a key that was never submitted.
     @raise Wfs_util.Error.Error (kind [Bad_spec]) when the resume journal
     is corrupt, has the wrong schema, or was written for different sweep
     settings. *)

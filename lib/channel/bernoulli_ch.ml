@@ -5,12 +5,8 @@ let create ~rng ~good_prob =
     if Wfs_util.Rng.bernoulli rng good_prob then Channel.Good else Channel.Bad
   in
   let bulk lo hi =
-    let last = ref Channel.Good in
-    for _ = lo to hi do
-      last :=
-        (if Wfs_util.Rng.bernoulli rng good_prob then Channel.Good
-         else Channel.Bad)
-    done;
-    !last
+    if Wfs_util.Rng.bernoulli_run rng good_prob ~len:(hi - lo + 1) then
+      Channel.Good
+    else Channel.Bad
   in
   Channel.make ~label:(Printf.sprintf "bernoulli(%g)" good_prob) ~bulk step

@@ -17,15 +17,13 @@ let create ~rng ~pg ~pe ?start_good () =
     if !good then Channel.Good else Channel.Bad
   in
   (* One Bernoulli per slot, slot index unused: the bulk span is the same
-     loop with the closure call and state boxing peeled off. *)
+     chain run by the flip kernel. *)
   let bulk lo hi =
-    let g = ref !good in
-    for _ = lo to hi do
-      let p_flip = if !g then pe else pg in
-      if Wfs_util.Rng.bernoulli rng p_flip then g := not !g
-    done;
-    good := !g;
-    if !g then Channel.Good else Channel.Bad
+    let _ : int =
+      Wfs_util.Rng.flip_run rng good ~p_true:pe ~p_false:pg ~len:(hi - lo + 1)
+        ~until_true:false
+    in
+    if !good then Channel.Good else Channel.Bad
   in
   let initial = if !good then Channel.Good else Channel.Bad in
   Channel.make ~label:(Printf.sprintf "ge(pg=%g,pe=%g)" pg pe) ~initial ~bulk step

@@ -16,21 +16,18 @@ let create ~rng ?(packets_per_on_slot = 1) ~p_on_to_off ~p_off_to_on () =
     if !on then packets_per_on_slot else 0
   in
   (* The chain draws one Bernoulli per slot whichever mode it is in, so the
-     event query is the stepwise scan with the closure call peeled off; it
-     exists to keep the draw-equivalence contract explicit and testable. *)
+     event query is the stepwise scan, run by the flip kernel up to the
+     first slot that ends ON. *)
   let next_event pending ~from ~upto =
-    let found = ref (-1) in
-    let s = ref from in
-    while !found < 0 && !s < upto do
-      let p = if !on then p_on_to_off else p_off_to_on in
-      if Wfs_util.Rng.bernoulli rng p then on := not !on;
-      if !on then begin
-        pending := packets_per_on_slot;
-        found := !s
-      end;
-      incr s
-    done;
-    !found
+    let i =
+      Wfs_util.Rng.flip_run rng on ~p_true:p_on_to_off ~p_false:p_off_to_on
+        ~len:(upto - from) ~until_true:true
+    in
+    if i < 0 then -1
+    else begin
+      pending := packets_per_on_slot;
+      from + i
+    end
   in
   let p_on = p_off_to_on /. (p_off_to_on +. p_on_to_off) in
   Arrival.make

@@ -3,23 +3,36 @@
    splitting.
 
    The four 64-bit state words live in one 32-byte [Bytes], read and
-   written with [Bytes.get_int64_le]/[set_int64_le].  Those accessors are
-   compiler primitives behind a one-line stdlib wrapper, so a step is
-   straight-line [int64] arithmetic on unboxed registers: nothing is
-   allocated as long as the step's [int64] result never leaves the
-   function that consumes it.  [step] is therefore inlined into every
-   reader — [float], [bool], [int], [bernoulli] and the Knuth loop of
-   [poisson_knuth] — each of which returns an immediate (or, for [float],
-   one boxed float to a caller in another module).  Without flambda an
-   [int64] record field would box on every store, which is why the state
-   is not a record.  The RNG is the per-slot floor of the event-compressed
-   simulator: byte-identity makes every dynamic channel and live source
-   consume exactly one draw per slot, so draw cost bounds slots/s no
-   matter how many slots the calendar skips.  Output is bit-exact
-   xoshiro256**, pinned by the known-answer vectors in test_util and by
-   the golden CSVs. *)
+   written through [get]/[set] below.  A step is straight-line [int64]
+   arithmetic on unboxed registers: nothing is allocated as long as the
+   step's [int64] result never leaves the function that consumes it.
+   Without flambda an [int64] record field would box on every store,
+   which is why the state is not a record.
+
+   Two shapes of reader consume steps.  A single draw ([float], [bool],
+   [int], [bernoulli]) loads the four words, steps once and stores them
+   back.  A draw kernel ([poisson_knuth], [knuth_scan], [flip_run],
+   [bernoulli_run]) is a whole loop of draws: it loads the words into
+   local refs once, which the compiler turns into unboxed registers
+   because they never escape, runs every step of the loop on those, and
+   stores the words back once.  The RNG is the per-slot floor of the
+   event-compressed simulator: byte-identity makes every dynamic channel
+   and live source consume exactly one draw per slot, so draw cost bounds
+   slots/s no matter how many slots the calendar skips.  Output is
+   bit-exact xoshiro256**, pinned by the known-answer vectors in
+   test_util, by a property holding every kernel to its per-draw loop,
+   and by the golden CSVs. *)
 
 type t = Bytes.t
+
+(* The only access to the state: native byte order, no bounds check.
+   Sound because [t] is abstract, so every value is the 32 bytes that
+   [of_splitmix] or [copy] made, and every offset used is 0, 8, 16 or 24.
+   The words are never read as bytes, only back through [get], so native
+   order gives the same word values, and the same output, on every
+   platform. *)
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* Seeding stays in boxed [Int64] — it runs once per stream, never per
    slot. *)
@@ -35,7 +48,7 @@ let of_splitmix seed =
   let state = ref seed in
   let t = Bytes.create 32 in
   for w = 0 to 3 do
-    Bytes.set_int64_le t (8 * w) (splitmix64_next state)
+    set t (8 * w) (splitmix64_next state)
   done;
   t
 
@@ -44,31 +57,28 @@ let create seed = of_splitmix (Int64.of_int seed)
 let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-(* One xoshiro256** step: the output rotl(s1 * 5, 7) * 9, then the state
-   scramble. *)
+(* The output of a step from the state's second word: rotl(s1 * 5, 7) * 9. *)
+let[@inline always] scramble s1 = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L
+
+(* Top 53 bits of one output, scaled to [0,1). *)
+let[@inline always] to_unit r =
+  float_of_int (Int64.to_int (Int64.shift_right_logical r 11)) *. 0x1.0p-53
+
+(* One xoshiro256** step through the stored state: the state transition,
+   and as output the [scramble] of the old second word. *)
 let[@inline always] step t =
-  let s0 = Bytes.get_int64_le t 0 in
-  let s1 = Bytes.get_int64_le t 8 in
-  let s2 = Bytes.get_int64_le t 16 in
-  let s3 = Bytes.get_int64_le t 24 in
-  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
-  let s2 = Int64.logxor s2 s0 in
-  let s3 = Int64.logxor s3 s1 in
-  Bytes.set_int64_le t 0 (Int64.logxor s0 s3);
-  Bytes.set_int64_le t 8 (Int64.logxor s1 s2);
-  Bytes.set_int64_le t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
-  Bytes.set_int64_le t 24 (rotl s3 45);
-  result
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let s2 = Int64.logxor s2 s0 and s3 = Int64.logxor s3 s1 in
+  set t 0 (Int64.logxor s0 s3);
+  set t 8 (Int64.logxor s1 s2);
+  set t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set t 24 (rotl s3 45);
+  scramble s1
 
 let bits64 t = step t
 let split t = of_splitmix (bits64 t)
 let copy = Bytes.copy
-
-(* Top 53 bits of one output, scaled to [0,1). *)
-let[@inline always] unit_float t =
-  float_of_int (Int64.to_int (Int64.shift_right_logical (step t) 11))
-  *. 0x1.0p-53
-
+let[@inline always] unit_float t = to_unit (step t)
 let[@hot] float t = unit_float t
 
 let int t n =
@@ -97,18 +107,107 @@ let exponential t ~rate =
   (* 1 - u is in (0,1], so log is finite. *)
   -.log (1. -. u) /. rate
 
-(* Inversion by sequential search (Knuth), linear in the mean: the number
-   of draws before their running product falls to [limit].  A local float
-   ref, so the product is never boxed. *)
-let[@hot] poisson_knuth t ~limit =
-  let k = ref 0 in
-  let p = ref (unit_float t) in
-  while !p > limit do
-    incr k;
-    p := !p *. unit_float t
+(* --- Draw kernels ---
+
+   Each keeps the state in [s0 .. s3] for its whole loop and spells the
+   step out inline, since a helper taking the refs would make them
+   escape: the six lines from [let x = !s1] to [s3 := ...], with output
+   [scramble x], are the operations of [step] on the same words.  Knuth's
+   inversion runs as [while !k < 0 || !p > limit]: the first pass always
+   draws, and since [p] starts at 1., [1. *. u] is [u] exactly, so [p]
+   and [k] follow the per-draw loop bit for bit. *)
+
+let[@hot] [@inline always] poisson_knuth t ~limit =
+  let s0 = ref (get t 0) and s1 = ref (get t 8) in
+  let s2 = ref (get t 16) and s3 = ref (get t 24) in
+  let k = ref (-1) and p = ref 1. in
+  while !k < 0 || !p > limit do
+    let x = !s1 in
+    let t2 = Int64.logxor !s2 !s0 and t3 = Int64.logxor !s3 x in
+    s0 := Int64.logxor !s0 t3;
+    s1 := Int64.logxor x t2;
+    s2 := Int64.logxor t2 (Int64.shift_left x 17);
+    s3 := rotl t3 45;
+    p := !p *. to_unit (scramble x);
+    incr k
   done;
+  set t 0 !s0;
+  set t 8 !s1;
+  set t 16 !s2;
+  set t 24 !s3;
   !k
 
+let[@hot] knuth_scan t ~limit ~len ~pending =
+  let s0 = ref (get t 0) and s1 = ref (get t 8) in
+  let s2 = ref (get t 16) and s3 = ref (get t 24) in
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < len do
+    let k = ref (-1) and p = ref 1. in
+    while !k < 0 || !p > limit do
+      let x = !s1 in
+      let t2 = Int64.logxor !s2 !s0 and t3 = Int64.logxor !s3 x in
+      s0 := Int64.logxor !s0 t3;
+      s1 := Int64.logxor x t2;
+      s2 := Int64.logxor t2 (Int64.shift_left x 17);
+      s3 := rotl t3 45;
+      p := !p *. to_unit (scramble x);
+      incr k
+    done;
+    if !k > 0 then begin
+      pending := !k;
+      found := !i
+    end;
+    incr i
+  done;
+  set t 0 !s0;
+  set t 8 !s1;
+  set t 16 !s2;
+  set t 24 !s3;
+  !found
+
+let[@hot] flip_run t state ~p_true ~p_false ~len ~until_true =
+  let s0 = ref (get t 0) and s1 = ref (get t 8) in
+  let s2 = ref (get t 16) and s3 = ref (get t 24) in
+  let g = ref !state and found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < len do
+    let x = !s1 in
+    let t2 = Int64.logxor !s2 !s0 and t3 = Int64.logxor !s3 x in
+    s0 := Int64.logxor !s0 t3;
+    s1 := Int64.logxor x t2;
+    s2 := Int64.logxor t2 (Int64.shift_left x 17);
+    s3 := rotl t3 45;
+    if to_unit (scramble x) < (if !g then p_true else p_false) then g := not !g;
+    if until_true && !g then found := !i;
+    incr i
+  done;
+  set t 0 !s0;
+  set t 8 !s1;
+  set t 16 !s2;
+  set t 24 !s3;
+  state := !g;
+  !found
+
+let[@hot] bernoulli_run t p ~len =
+  let s0 = ref (get t 0) and s1 = ref (get t 8) in
+  let s2 = ref (get t 16) and s3 = ref (get t 24) in
+  let hit = ref false in
+  for _ = 1 to len do
+    let x = !s1 in
+    let t2 = Int64.logxor !s2 !s0 and t3 = Int64.logxor !s3 x in
+    s0 := Int64.logxor !s0 t3;
+    s1 := Int64.logxor x t2;
+    s2 := Int64.logxor t2 (Int64.shift_left x 17);
+    s3 := rotl t3 45;
+    hit := to_unit (scramble x) < p
+  done;
+  set t 0 !s0;
+  set t 8 !s1;
+  set t 16 !s2;
+  set t 24 !s3;
+  !hit
+
+(* [poisson_knuth] is inlined here, so the fresh [exp (-. mean)] stays
+   unboxed. *)
 let poisson t ~mean =
   assert (mean >= 0.);
   if mean <= 0. then 0

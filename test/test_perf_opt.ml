@@ -947,10 +947,14 @@ let test_static_channel () =
    stepping both past the horizon: the tails only agree if the window pass
    left the RNG stream in the stepwise position. *)
 
-let source_of_kind kind seed =
+(* The Poisson rates cover the scan kernel from sparse (0.025) to dense
+   (8) windows and, at 600, the normal approximation's stepwise scan. *)
+let poisson_rates = [| 0.025; 0.3; 8.; 600. |]
+
+let source_of_kind kind ~rate seed =
   let rng = Rng.create seed in
   match kind with
-  | 0 -> Wfs_traffic.Poisson.create ~rng ~rate:0.3
+  | 0 -> Wfs_traffic.Poisson.create ~rng ~rate:poisson_rates.(rate)
   | 1 -> Wfs_traffic.Cbr.create ~interarrival:3.5 ()
   | 2 -> Wfs_traffic.Onoff.create ~rng ~p_on_to_off:0.2 ~p_off_to_on:0.1 ()
   | 3 -> Wfs_traffic.Pareto_onoff.create ~rng ~mean_on:4. ~mean_off:12. ()
@@ -958,12 +962,12 @@ let source_of_kind kind seed =
 
 let prop_arrival_next_event_equiv =
   QCheck.Test.make ~name:"arrival next_event consumes the stepwise draws"
-    ~count:100
-    QCheck.(pair (0 -- 4) small_int)
-    (fun (kind, seed) ->
+    ~count:200
+    QCheck.(triple (0 -- 4) (0 -- 3) small_int)
+    (fun (kind, rate, seed) ->
       let horizon = 200 in
-      let a = source_of_kind kind seed in
-      let b = source_of_kind kind seed in
+      let a = source_of_kind kind ~rate seed in
+      let b = source_of_kind kind ~rate seed in
       let step_counts =
         Array.init horizon (fun slot -> Wfs_traffic.Arrival.arrivals a ~slot)
       in
@@ -1422,11 +1426,13 @@ let test_select_words () =
 
 (* One draw per dynamic channel and per live source and slot is the
    per-slot floor every engine pays, so the draws themselves must not
-   allocate: a Poisson(8) sample and a Bernoulli draw take 0 minor words,
-   and a Gilbert-Elliott channel advance takes at most the 2 of the
-   [Some state] it stores.  The RNG core is inlined within [Rng] itself,
-   so these budgets hold without cross-module inlining: the dev build
-   that runs this test binds them as well as a release build. *)
+   allocate: a Poisson(8) sample, [Rng.poisson], a Bernoulli draw and
+   every draw kernel take 0 minor words, and a Gilbert-Elliott channel
+   advance takes at most the 2 of the [Some state] it stores.  The RNG
+   core is inlined within [Rng] itself, so these budgets hold without
+   cross-module inlining: they bind the dev build, which compiles with
+   [-opaque], as well as a release build, and CI runs the test under
+   both. *)
 let draw_words f =
   let calls = 100_000 in
   for _ = 1 to 1_000 do
@@ -1458,6 +1464,29 @@ let test_draw_words () =
         : Wfs_channel.Channel.state);
     incr cslot
   in
+  (* [Rng.poisson] computes [exp (-. mean)] on every call, as an MMPP
+     on-segment does; the kernels run windows of the lengths the fast
+     path hands them. *)
+  let mmpp () = total := !total + Rng.poisson rng ~mean:0.8 in
+  let limit = exp (-0.3) and pending = ref 0 and state = ref false in
+  let scan () =
+    if Rng.knuth_scan rng ~limit ~len:40 ~pending >= 0 then incr hits
+  in
+  let knuth () = total := !total + Rng.poisson_knuth rng ~limit in
+  let flips () =
+    if
+      Rng.flip_run rng state ~p_true:0.2 ~p_false:0.05 ~len:40
+        ~until_true:true
+      >= 0
+    then incr hits
+  in
+  let bulk () =
+    ignore
+      (Rng.flip_run rng state ~p_true:0.2 ~p_false:0.05 ~len:40
+         ~until_true:false
+        : int)
+  in
+  let bernoullis () = if Rng.bernoulli_run rng 0.3 ~len:40 then incr hits in
   List.iter
     (fun (what, f, budget) ->
       let words = draw_words f in
@@ -1468,10 +1497,80 @@ let test_draw_words () =
         (words <= budget +. 0.01))
     [
       ("Poisson(8) sample", poisson, 0.);
+      ("Rng.poisson ~mean:0.8", mmpp, 0.);
       ("Rng.bernoulli", bernoulli, 0.);
       ("Gilbert-Elliott Channel.advance", advance, 2.);
+      ("Rng.poisson_knuth", knuth, 0.);
+      ("Rng.knuth_scan ~len:40", scan, 0.);
+      ("Rng.flip_run ~until_true:true ~len:40", flips, 0.);
+      ("Rng.flip_run ~until_true:false ~len:40", bulk, 0.);
+      ("Rng.bernoulli_run ~len:40", bernoullis, 0.);
     ];
-  check_bool "the draws ran" true (!total > 0 && !hits > 0)
+  check_bool "the draws ran" true (!total > 0 && !hits > 0 && !pending > 0)
+
+(* --- Draw kernels against their per-draw loops ---
+
+   Twin streams from one seed, one through a kernel and one through the
+   per-draw loop it replaced (test/draw_loops.ml), must give the same
+   result, the same pending count or chain state, and then the same next
+   eight outputs: the kernel left the stream where the loop did.  The
+   means span the Knuth loop from about one draw per sample to about
+   500, and the probabilities include the two certain ones. *)
+
+let knuth_means = [| 0.025; 0.3; 0.8; 8.; 40.; 499. |]
+let flip_probs = [| 0.; 0.005; 0.3; 0.95; 1. |]
+
+let prop_draw_kernels_bit_exact =
+  QCheck.Test.make ~name:"draw kernels match their per-draw loops bit for bit"
+    ~count:300
+    QCheck.(
+      quad int (0 -- 5) (0 -- 300) (quad (0 -- 4) (0 -- 4) bool (0 -- 15)))
+    (fun (seed, m, len, (t, f, start, samples)) ->
+      let mean = knuth_means.(m) in
+      let limit = exp (-.mean) in
+      let p_true = flip_probs.(t) and p_false = flip_probs.(f) in
+      let same what kernel oracle =
+        let a = Rng.create seed and b = Rng.create seed in
+        let got = kernel a and want = oracle b in
+        if got <> want then
+          QCheck.Test.fail_reportf "%s: kernel [%s], per-draw loop [%s]" what
+            (String.concat "; " (List.map string_of_int got))
+            (String.concat "; " (List.map string_of_int want));
+        let next r = List.init 8 (fun _ -> Rng.bits64 r) in
+        if next a <> next b then
+          QCheck.Test.fail_reportf "%s: the stream ends elsewhere" what
+      in
+      let repeat draw rng = List.init (1 + samples) (fun _ -> draw rng) in
+      same "poisson_knuth"
+        (repeat (fun r -> Rng.poisson_knuth r ~limit))
+        (repeat (fun r -> Draw_loops.poisson_knuth r ~limit));
+      same "poisson"
+        (repeat (fun r -> Rng.poisson r ~mean))
+        (repeat (fun r -> Draw_loops.poisson_knuth r ~limit));
+      let scan run r =
+        let pending = ref (-7) in
+        let i = run r ~limit ~len ~pending in
+        [ i; !pending ]
+      in
+      same "knuth_scan"
+        (scan (fun r -> Rng.knuth_scan r))
+        (scan (fun r -> Draw_loops.knuth_scan r));
+      List.iter
+        (fun until_true ->
+          let flips run r =
+            let state = ref start in
+            let i = run r state ~p_true ~p_false ~len ~until_true in
+            [ i; Bool.to_int !state ]
+          in
+          same
+            (Printf.sprintf "flip_run ~until_true:%b" until_true)
+            (flips (fun r -> Rng.flip_run r))
+            (flips (fun r -> Draw_loops.flip_run r)))
+        [ false; true ];
+      same "bernoulli_run"
+        (fun r -> [ Bool.to_int (Rng.bernoulli_run r p_true ~len) ])
+        (fun r -> [ Bool.to_int (Draw_loops.bernoulli_run r p_true ~len) ]);
+      true)
 
 let suite =
   [
@@ -1489,6 +1588,7 @@ let suite =
       test_store_keeps_attempts;
     Alcotest.test_case "select minor words" `Quick test_select_words;
     Alcotest.test_case "draw minor words" `Quick test_draw_words;
+    QCheck_alcotest.to_alcotest prop_draw_kernels_bit_exact;
     QCheck_alcotest.to_alcotest prop_flow_heap_model;
     Alcotest.test_case "flow_heap basics" `Quick test_flow_heap_basics;
     QCheck_alcotest.to_alcotest prop_flow_set_model;
