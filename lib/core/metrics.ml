@@ -11,23 +11,33 @@ type flow_acc = {
   mutable failed : int;
 }
 
-type t = { flows : flow_acc array; mutable idle : int; mutable busy : int }
+type t = {
+  mutable flows : flow_acc array;
+  mutable idle : int;
+  mutable busy : int;
+}
+
+let empty_flow ~histograms =
+  {
+    delays = Summary.create ();
+    histogram = (if histograms then Some (Histogram.create ()) else None);
+    arrivals = 0;
+    delivered = 0;
+    dropped = 0;
+    failed = 0;
+  }
 
 let create ?(histograms = false) ~n_flows () =
   {
-    flows =
-      Array.init n_flows (fun _ ->
-          {
-            delays = Summary.create ();
-            histogram = (if histograms then Some (Histogram.create ()) else None);
-            arrivals = 0;
-            delivered = 0;
-            dropped = 0;
-            failed = 0;
-          });
+    flows = Array.init n_flows (fun _ -> empty_flow ~histograms);
     idle = 0;
     busy = 0;
   }
+
+let add_flows ?(histograms = false) t ~count =
+  if count < 0 then Wfs_util.Error.invalid "Metrics.add_flows" "negative count";
+  t.flows <-
+    Array.append t.flows (Array.init count (fun _ -> empty_flow ~histograms))
 
 let acc t flow = t.flows.(flow)
 
@@ -103,9 +113,9 @@ let backlog_remaining t ~flow =
 
 (* A source flow that recorded nothing leaves its target as it was, since
    both merges below copy the other side's values when one side is empty;
-   skipping it is what keeps barrier-time sampling cheap, where every
-   cell's totals span all global flows.  (An empty source histogram still
-   merges into a target that has none, as the merge would install it.) *)
+   skipping it saves a fresh row for every flow that was present but
+   never served.  (An empty source histogram still merges into a target
+   that has none, as the merge would install it.) *)
 let untouched (s : flow_acc) ~(into : flow_acc) =
   s.arrivals = 0 && s.delivered = 0 && s.dropped = 0 && s.failed = 0
   && Summary.count s.delays = 0

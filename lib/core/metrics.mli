@@ -12,6 +12,12 @@ val create : ?histograms:bool -> n_flows:int -> unit -> t
 (** With [histograms] (default off, saving memory on long runs) per-flow
     delay histograms are kept and {!delay_percentile} becomes available. *)
 
+val add_flows : ?histograms:bool -> t -> count:int -> unit
+(** Append [count] flows that have recorded nothing, numbered from
+    [n_flows t] on, with histograms when [histograms] (default off).  The
+    existing flows keep their accumulators as they are.
+    @raise Invalid_argument on a negative count. *)
+
 val on_arrivals : t -> flow:int -> count:int -> unit
 (** [count] packets arrived for [flow], admitted or not. *)
 

@@ -12,15 +12,11 @@ let create ?(schema = schema) ~path ~params () =
 let reopen ~path = { out = Jsonl.reopen ~path; mutex = Mutex.create () }
 
 let append w ~key ~value =
-  let line =
-    Json.to_string ~pretty:false
-      (Json.Obj [ ("key", Json.Str key); ("value", value) ])
-  in
   Mutex.lock w.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock w.mutex)
     (fun () ->
-      Jsonl.write_line w.out line;
+      Jsonl.write w.out (Json.Obj [ ("key", Json.Str key); ("value", value) ]);
       Jsonl.flush w.out)
 
 let close w = Jsonl.close w.out

@@ -6,7 +6,6 @@ module Metrics = Wfs_core.Metrics
 module Sim_config = Wfs_core.Sim_config
 module Instruments = Wfs_obs.Instruments
 module Packet = Wfs_traffic.Packet
-module Error = Wfs_util.Error
 
 type member = { gid : int; setup : Sim.flow_setup }
 
@@ -48,7 +47,10 @@ type t = {
   histograms : bool;
   invariants : bool;
   fast_path : bool;
-  totals : Metrics.t;  (* indexed by global flow id *)
+  bank : Metrics.t;
+      (* one row per flow this cell has hosted, in the order each was
+         first banked; [banked.(row)] is that flow's global id *)
+  mutable banked : int array;
   ins : Instruments.t;
   epochs : Instruments.counter;
   handoffs_in : Instruments.counter;
@@ -181,9 +183,7 @@ let install t ~slot parcels =
 
 let create ?credit_limit ?debit_limit ?(histograms = false)
     ?(invariants = false) ?(fast_path = false) ?tap ~id ~sched ~horizon
-    ~n_total members =
-  if n_total < 1 then
-    Error.invalidf "Cell.create" "n_total must be >= 1, got %d" n_total;
+    members =
   let ins = Instruments.create () in
   (* Registration order is the positional merge key across cells: every
      cell runs exactly this sequence. *)
@@ -213,7 +213,8 @@ let create ?credit_limit ?debit_limit ?(histograms = false)
       histograms;
       invariants;
       fast_path;
-      totals = Metrics.create ~histograms ~n_flows:n_total ();
+      bank = Metrics.create ~histograms ~n_flows:0 ();
+      banked = [||];
       ins;
       epochs;
       handoffs_in;
@@ -242,9 +243,33 @@ let advance t ~until =
   | None -> ());
   Instruments.incr t.epochs
 
+(* The bank row of [gid], or -1 before its first banking here.  A scan,
+   because an index sized to the topology would put back the cells ×
+   flows cost the bank avoids. *)
+let rec find_row banked gid row =
+  if row = Array.length banked then -1
+  else if Int.equal banked.(row) gid then row
+  else find_row banked gid (row + 1)
+
+let row_of t gid = find_row t.banked gid 0
+
+(* Fold the session's metrics into the bank, first appending an empty row
+   for each member banked here for the first time.  Growing never merges
+   rows, so a row holds the flow's sessions in this cell merged in
+   barrier order, and {!peek} and {!finish} hand each row to the global
+   accumulator in one merge. *)
 let bank t session =
-  Metrics.absorb t.totals ~src:(Sim.Session.metrics session)
-    ~map:(fun lid -> t.members.(lid).gid)
+  let fresh = List.filter (fun gid -> row_of t gid < 0) (gids t) in
+  if not (List.is_empty fresh) then begin
+    Metrics.add_flows ~histograms:t.histograms t.bank
+      ~count:(List.length fresh);
+    t.banked <- Array.append t.banked (Array.of_list fresh)
+  end;
+  Metrics.absorb t.bank ~src:(Sim.Session.metrics session)
+    ~map:(fun lid -> row_of t t.members.(lid).gid)
+
+let fold_bank t ~into =
+  Metrics.absorb into ~src:t.bank ~map:(fun row -> t.banked.(row))
 
 let dissolve t =
   match (t.session, t.sched) with
@@ -297,18 +322,18 @@ let rebuild t ~slot parcels =
   install t ~slot parcels;
   t
 
-(* Non-destructive cumulative view: banked totals plus the live session's
+(* Non-destructive cumulative view: the bank plus the live session's
    accumulator, remapped to global ids.  Feeds barrier-time windowed
    aggregation without touching the session. *)
 let peek t ~into =
-  Metrics.absorb into ~src:t.totals ~map:Fun.id;
+  fold_bank t ~into;
   match t.session with
   | Some s ->
       Metrics.absorb into ~src:(Sim.Session.metrics s)
         ~map:(fun lid -> t.members.(lid).gid)
   | None -> ()
 
-let finish t =
+let finish t ~into =
   (match t.session with
   | Some s ->
       Sim.Session.advance s ~until:t.horizon;
@@ -316,4 +341,4 @@ let finish t =
   | None -> ());
   t.session <- None;
   t.sched <- None;
-  t.totals
+  fold_bank t ~into

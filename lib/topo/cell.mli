@@ -4,8 +4,8 @@
 
     A cell's flow roster changes at epoch barriers, so the cell follows a
     dissolve/rebuild protocol: {!dissolve} banks the live session's
-    metrics into a topology-wide accumulator (indexed by {e global} flow
-    id) and serializes every member into a {!parcel} — its §5/§7
+    metrics into the cell's bank and serializes every member into a
+    {!parcel} — its §5/§7
     compensation {!Wfs_core.Wireless_sched.carry} exported through the
     scheduler's handoff hook plus its backlog drained in FIFO order —
     then {!rebuild} re-admits a (possibly different) parcel list: flows
@@ -16,6 +16,12 @@
     and channels live in the {!member} and are queried with absolute slot
     numbers, so a flow that never moves sees the same sample path as in a
     single-cell run.
+
+    The bank holds one {!Wfs_core.Metrics} row per flow the cell has
+    hosted, added empty when that flow is first banked, and the global id
+    of each row.  Its size follows the flows that passed through the cell,
+    not the topology's flow count, and {!peek} and {!finish} fold it into
+    a global-id accumulator row by row.
 
     All per-cell telemetry lives in an {!Wfs_obs.Instruments} registry
     created by {!create} with a fixed registration order, so the
@@ -80,13 +86,11 @@ val create :
   id:int ->
   sched:Wfs_core.Registry.entry ->
   horizon:int ->
-  n_total:int ->
   member list ->
   t
-(** A cell with the given initial roster, session started at slot 0.
-    [n_total] is the topology-wide flow count — the size of the global-id
-    metrics accumulator this cell banks into.  The roster may be empty
-    (an empty cell simulates nothing until flows hand off into it). *)
+(** A cell with the given initial roster, session started at slot 0, and
+    an empty bank.  The roster may be empty (an empty cell simulates
+    nothing until flows hand off into it). *)
 
 val id : t -> int
 val n_members : t -> int
@@ -100,9 +104,9 @@ val advance : t -> until:int -> unit
     touches only this cell's state. *)
 
 val dissolve : t -> parcel list
-(** Bank the live session's metrics into the global accumulator and
-    serialize every member out, ascending global id.  The cell is left
-    empty; follow with {!rebuild}. *)
+(** Bank the live session's metrics and serialize every member out,
+    ascending global id.  The cell is left empty; follow with
+    {!rebuild}. *)
 
 val rebuild : t -> slot:int -> parcel list -> t
 (** Re-admit a parcel list (any order; sorted internally by global id) and
@@ -120,15 +124,14 @@ val note_arrival : t -> unit
 (** Handoff counters, bumped by the topology driver per move. *)
 
 val peek : t -> into:Wfs_core.Metrics.t -> unit
-(** Absorb the cell's cumulative view — banked totals plus the live
-    session's accumulator, remapped to global flow ids — into [into]
-    without disturbing the session.  Barrier-time sampling for windowed
-    aggregation. *)
+(** Absorb the cell's cumulative view — the bank, then the live session's
+    accumulator, both remapped to global flow ids — into [into] without
+    disturbing the session.  Only the flows this cell has hosted are
+    visited.  Barrier-time sampling for windowed aggregation. *)
 
-val finish : t -> Wfs_core.Metrics.t
-(** Advance to the horizon if needed, bank the final session, and return
-    the cell's global-id accumulator (per-flow rows are populated only at
-    ids this cell ever hosted). *)
+val finish : t -> into:Wfs_core.Metrics.t -> unit
+(** Advance to the horizon if needed, bank the final session, and absorb
+    the bank into [into], a global-id accumulator. *)
 
 val instruments : t -> Wfs_obs.Instruments.t
 (** The per-cell registry; identical shape across cells. *)

@@ -123,8 +123,7 @@ let of_spec ?credit_limit ?debit_limit ?histograms ?invariants ?fast_path
                roster)
         in
         Cell.create ?credit_limit ?debit_limit ?histograms ?invariants
-          ?fast_path ?tap ~id:c
-          ~sched:entry ~horizon:spec.horizon ~n_total:n_flows members)
+          ?fast_path ?tap ~id:c ~sched:entry ~horizon:spec.horizon members)
       rosters
   in
   {
@@ -339,18 +338,19 @@ let apply_handoffs t ~slot =
           note_event t (Causality.Rehome { slot; flow = gid; dst });
           Cell.note_arrival t.cells.(dst))
         rehomes;
+      (* Every parcel is homed at an affected cell by now: route them in
+         one pass, each cell's list in ascending global id. *)
+      let arriving = Array.make (Array.length t.cells) [] in
+      for gid = t.n_flows - 1 downto 0 do
+        match parcel_of.(gid) with
+        | Some p ->
+            let c = t.homes.(gid) in
+            arriving.(c) <- p :: arriving.(c)
+        | None -> ()
+      done;
       Array.iteri
         (fun c cell ->
-          if affected.(c) then begin
-            let parcels = ref [] in
-            for gid = t.n_flows - 1 downto 0 do
-              if t.homes.(gid) = c then
-                match parcel_of.(gid) with
-                | Some p -> parcels := p :: !parcels
-                | None -> ()
-            done;
-            ignore (Cell.rebuild cell ~slot !parcels)
-          end)
+          if affected.(c) then ignore (Cell.rebuild cell ~slot arriving.(c)))
         t.cells)
 
 let barrier t ~slot =
@@ -443,9 +443,7 @@ let run ?(jobs = 1) ?on_barrier t =
   in
   loop 0;
   let merged = Metrics.create ~histograms:t.histograms ~n_flows:t.n_flows () in
-  Array.iter
-    (fun cell -> Metrics.absorb merged ~src:(Cell.finish cell) ~map:Fun.id)
-    t.cells;
+  Array.iter (fun cell -> Cell.finish cell ~into:merged) t.cells;
   t.result <- Some merged
 
 let metrics t =
@@ -453,8 +451,8 @@ let metrics t =
   | Some m -> m
   | None -> Error.invalid "Topology.metrics" "run the topology first"
 
-(* Barrier-time cumulative view: banked totals of every cell plus each
-   live session's accumulator, remapped to global ids.  Orphan parcels'
+(* Barrier-time cumulative view: every cell's bank plus its live
+   session's accumulator, remapped to global ids.  Orphan parcels'
    backlogs are invisible here (their packets sit outside any session),
    exactly as in the final merge before their re-home. *)
 let peek_metrics t =

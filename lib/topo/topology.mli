@@ -98,11 +98,14 @@ val metrics : t -> Wfs_core.Metrics.t
     @raise Invalid_argument before {!run}. *)
 
 val peek_metrics : t -> Wfs_core.Metrics.t
-(** A fresh cumulative accumulator valid mid-run: every cell's banked
-    totals plus its live session's counters, remapped to global ids.
-    Intended for barrier-time sampling (windowed aggregation from an
-    [on_barrier] hook); orphan parcels' drained backlogs are invisible
-    until their re-home, exactly as in the final merge. *)
+(** A fresh cumulative accumulator valid mid-run: every cell's bank plus
+    its live session's counters, remapped to global ids, in cell order as
+    in the final merge.  Beyond the fresh accumulator it visits only the
+    rows of flows each cell has hosted, so its cost follows the flows and
+    their moves, not cells × flows.  Intended for barrier-time sampling
+    (windowed aggregation from an [on_barrier] hook); orphan parcels'
+    drained backlogs are invisible until their re-home, exactly as in the
+    final merge. *)
 
 val cell_instruments : t -> cell:int -> Wfs_obs.Instruments.t
 val instruments : t -> Wfs_obs.Instruments.t

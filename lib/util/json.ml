@@ -33,8 +33,7 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
-let to_string ?(pretty = true) v =
-  let buf = Buffer.create 1024 in
+let to_buffer ?(pretty = true) buf v =
   let indent depth =
     if pretty then begin
       Buffer.add_char buf '\n';
@@ -73,7 +72,11 @@ let to_string ?(pretty = true) v =
         indent depth;
         Buffer.add_char buf '}'
   in
-  go 0 v;
+  go 0 v
+
+let to_string ?pretty v =
+  let buf = Buffer.create 1024 in
+  to_buffer ?pretty buf v;
   Buffer.contents buf
 
 (* --- reader --- *)

@@ -21,6 +21,9 @@ val float_to_string : float -> string
 val to_string : ?pretty:bool -> t -> string
 (** [pretty] (default true) adds newlines and two-space indentation. *)
 
+val to_buffer : ?pretty:bool -> Buffer.t -> t -> unit
+(** {!to_string}'s text, appended to the buffer. *)
+
 val of_string : string -> (t, string) result
 (** Parse a JSON document; [Error] carries a message with a character
     offset.  Accepts exactly the subset {!to_string} emits (plus arbitrary

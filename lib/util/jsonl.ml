@@ -21,21 +21,30 @@ let schema_of ~path =
 (* --- writing: one compact record per line, streamed; the only close on
    the success path is the checked [close_out]. --- *)
 
-type writer = out_channel
+(* Each writer encodes its records through a buffer of its own, cleared
+   and reused for every record.  Streams are written from several domains
+   at once, so a module-level buffer would race. *)
+type writer = { oc : out_channel; buf : Buffer.t }
 
-let write_line oc line =
-  output_string oc line;
-  output_char oc '\n'
+let writer oc = { oc; buf = Buffer.create 256 }
 
-let write oc v = write_line oc (Json.to_string ~pretty:false v)
+let write_line w line =
+  output_string w.oc line;
+  output_char w.oc '\n'
+
+let write w v =
+  Buffer.clear w.buf;
+  Json.to_buffer ~pretty:false w.buf v;
+  Buffer.add_char w.buf '\n';
+  Buffer.output_buffer w.oc w.buf
 
 let create ~path ~schema fields =
-  let oc = open_out_bin path in
-  write oc (header ~schema fields);
-  oc
+  let w = writer (open_out_bin path) in
+  write w (header ~schema fields);
+  w
 
-let flush = Stdlib.flush
-let close = close_out
+let flush w = Stdlib.flush w.oc
+let close w = close_out w.oc
 
 (* [Out_channel.with_open_bin] closes with [close_out_noerr] even on
    success, which would swallow the final flush error. *)
@@ -72,16 +81,17 @@ let reopen ~path =
     with_out tmp (fun oc -> output_substring oc text 0 keep);
     Sys.rename tmp path
   end;
-  open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
+  writer (open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path)
 
 let with_file ~path ~schema fields f =
   with_out path (fun oc ->
-      write oc (header ~schema fields);
-      f oc)
+      let w = writer oc in
+      write w (header ~schema fields);
+      f w)
 
 let write_file ~path ~schema fields encode records =
-  with_file ~path ~schema fields (fun oc ->
-      List.iter (fun r -> write oc (encode r)) records)
+  with_file ~path ~schema fields (fun w ->
+      List.iter (fun r -> write w (encode r)) records)
 
 (* --- reading, under the one tail rule --- *)
 

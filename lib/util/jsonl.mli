@@ -24,6 +24,10 @@ val schema_of : path:string -> string option
 (** {1 Writing} *)
 
 type writer
+(** An output channel and the buffer its records are encoded through.
+    Each writer owns its buffer and the module keeps none, so writers on
+    different domains share nothing; one writer used from several
+    domains needs its owner's lock, as the sweep journal takes. *)
 
 val create : path:string -> schema:string -> (string * Json.t) list -> writer
 (** Create or truncate [path] and write the header line. *)

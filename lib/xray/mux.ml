@@ -111,7 +111,7 @@ let create ?(stride = 1) ?(params = []) ~cells ~part_base () =
 let write_entry t e =
   let p = t.parts.(entry_cell e) in
   Buffer.clear p.buf;
-  Buffer.add_string p.buf (entry_to_string e);
+  Json.to_buffer ~pretty:false p.buf (entry_to_json e);
   Buffer.add_char p.buf '\n';
   Buffer.output_buffer p.oc p.buf
 

@@ -400,8 +400,39 @@ let test_full_device () =
   raises "Journal.create" (fun () ->
       Journal.close (Journal.create ~path:full ~params:[] ()))
 
+(* --- encoding cost: a record is encoded through the writer's own
+   buffer, not a fresh 1 KB one --- *)
+
+(* Minor words per [Jsonl.write] of a causality Move record, encoded
+   ahead of time so only the writer's work is counted: 61 in the dev and
+   release builds.  A fresh 1 KB buffer per record alone would be 129;
+   what remains is the encoder's closures and the decimal text of each
+   int. *)
+let test_write_words () =
+  let records =
+    Array.init 512 (fun i ->
+        Causality.event_to_json
+          (Causality.Move
+             { slot = 100 * i; flow = i mod 37; src = i mod 8; dst = (i + 3) mod 8;
+               verdict = Causality.verdict_deliver }))
+  in
+  with_temp_file (fun path ->
+      let w = Jsonl.create ~path ~schema:"toy/1" [] in
+      Array.iter (Jsonl.write w) records;
+      let before = Gc.minor_words () in
+      Array.iter (Jsonl.write w) records;
+      let per_record =
+        (Gc.minor_words () -. before) /. float_of_int (Array.length records)
+      in
+      Jsonl.close w;
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f minor words per record (at most 80)" per_record)
+        true (per_record <= 80.))
+
 let suite =
   [
+    Alcotest.test_case "write reuses the writer's buffer" `Quick
+      test_write_words;
     Alcotest.test_case "codec tail rule" `Quick test_tail_rule;
     Alcotest.test_case "every writer's file loads whole" `Quick test_base_files;
     Alcotest.test_case "report dispatches on the schema tag" `Quick

@@ -1285,6 +1285,34 @@ let test_store_footprint () =
       (8, fun _ -> 1);
     ]
 
+(* A topology's state grows with its flows, not with cells times flows: a
+   freshly built 64-cell topology of 4-flow cells holds about as many
+   reachable words per cell as an 8-cell one.  A metric bank sized to the
+   topology's flow count in every cell costs 64 × 256 rows here. *)
+let test_topology_footprint () =
+  let path = Filename.temp_file "wfs_metro" ".scenario" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc Test_topo.metro_cell);
+      let per_cell cells =
+        let t =
+          Wfs_topo.Topology.of_spec
+            (Wfs_runner.Spec.make ~seed:42 ~horizon:5_000
+               ~topo:(Wfs_runner.Spec.topo ~cells ~mobility:0.2 ~epoch:100)
+               ~sched:"SwapA-P" (Wfs_runner.Spec.file path))
+        in
+        Obj.reachable_words (Obj.repr t) / cells
+      in
+      let small = per_cell 8 and large = per_cell 64 in
+      check_bool
+        (Printf.sprintf
+           "%d words per cell at 64 cells, %d at 8 (at most 10%% more)" large
+           small)
+        true
+        (10 * large <= 11 * small))
+
 (* Attempts belong to the packet: copied in by [enqueue], read back at the
    head, and carried out and back in by a cell's dissolve/rebuild.  A run
    of one slot whose head fails, as a driver records it on the ring,
@@ -1323,7 +1351,7 @@ let test_store_keeps_attempts () =
              (Core.Presets.example1 ~seed:5 ()))
       in
       let cell =
-        Wfs_topo.Cell.create ~id:0 ~sched:entry ~horizon:100 ~n_total:2 members
+        Wfs_topo.Cell.create ~id:0 ~sched:entry ~horizon:100 members
       in
       let backlog =
         List.map
@@ -1584,6 +1612,7 @@ let suite =
     Alcotest.test_case "packet ring reads/growth" `Quick test_ring_reads_and_growth;
     Alcotest.test_case "packet ring runs" `Quick test_ring_runs;
     Alcotest.test_case "packet store footprint" `Quick test_store_footprint;
+    Alcotest.test_case "topology footprint" `Quick test_topology_footprint;
     Alcotest.test_case "packet store keeps attempts" `Quick
       test_store_keeps_attempts;
     Alcotest.test_case "select minor words" `Quick test_select_words;

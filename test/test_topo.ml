@@ -246,7 +246,7 @@ let test_wps_credit_carry () =
   let members =
     Array.to_list (Array.mapi (fun i s -> { Cell.gid = i; setup = s }) setups)
   in
-  let c0 = Cell.create ~id:0 ~sched:entry ~horizon:4_000 ~n_total:2 members in
+  let c0 = Cell.create ~id:0 ~sched:entry ~horizon:4_000 members in
   Cell.advance c0 ~until:1_500;
   let parcels = Cell.dissolve c0 in
   List.iter
@@ -256,7 +256,7 @@ let test_wps_credit_carry () =
         (c >= -4 && c <= 4);
       Alcotest.(check (float 0.)) "wps carries no lag" 0. p.Cell.carry.Sched.lag)
     parcels;
-  let c1 = Cell.create ~id:1 ~sched:entry ~horizon:4_000 ~n_total:2 [] in
+  let c1 = Cell.create ~id:1 ~sched:entry ~horizon:4_000 [] in
   let moved = List.map (fun p -> { p with Cell.moved = true }) parcels in
   ignore (Cell.rebuild c1 ~slot:1_500 moved);
   let parcels' = Cell.dissolve c1 in
@@ -326,6 +326,59 @@ let test_jobs_invariance () =
   Alcotest.(check int) "handoffs jobs 2=4" n2 n4;
   Alcotest.(check string) "instruments jobs 1=2" i1 i2;
   Alcotest.(check string) "instruments jobs 2=4" i2 i4
+
+(* --- Barrier sampling: pinned bytes of every peek on a mobile topology --- *)
+
+(* perfbench's metro cell (test/golden/topo_cell.scenario) as 8 cells with
+   mobility 0.2 and epoch 100: almost every flow has lived in several
+   cells by the end, so each peek merges many cell banks into one flow's
+   row, and a change to the order of those merges changes the floats. *)
+let metro_cell =
+  "flow weight=1 drop=retx:2    source=poisson:0.15 channel=ge:0.07,0.03\n\
+   flow weight=1 drop=retx:2    source=mmpp:0.1     channel=ge:0.07,0.03\n\
+   flow weight=2 drop=delay:200 source=poisson:0.2  channel=bernoulli:0.9\n\
+   flow weight=1                source=cbr:10       channel=good\n"
+
+(* One digest over the full-precision JSON of [Topology.peek_metrics] at
+   every barrier and of the final metrics.  With [~histograms:true] every
+   row carries a histogram, so [Metrics.absorb]'s empty-row rule takes its
+   other branch.  The digests were taken before cells kept compact banks. *)
+let test_peek_digests () =
+  let path = Filename.temp_file "wfs_metro" ".scenario" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc metro_cell);
+      List.iter
+        (fun (sched, histograms, expected) ->
+          let spec =
+            Spec.make ~seed:7 ~horizon:3_000
+              ~topo:(Spec.topo ~cells:8 ~mobility:0.2 ~epoch:100)
+              ~sched (Spec.file path)
+          in
+          let t = Topology.of_spec ~histograms spec in
+          let seen = Buffer.create 1024 in
+          let note m =
+            Buffer.add_string seen
+              (Digest.string (Json.to_string ~pretty:false (M.to_json m)))
+          in
+          Topology.run t ~on_barrier:(fun ~slot:_ ->
+              note (Topology.peek_metrics t));
+          note (Topology.metrics t);
+          Alcotest.(check string)
+            (Printf.sprintf "%s histograms=%b" sched histograms)
+            expected
+            (Digest.to_hex (Digest.string (Buffer.contents seen))))
+        [
+          ("SwapA-P", false, "f0b198f6d331fb920b3948c1c2112fe0");
+          ("SwapA-P", true, "37857dd1089dab705e3079aa54e54a05");
+          ("CIF-Q-P", false, "a08484186c3452a27ca1620008c76b48");
+          ("CIF-Q-P", true, "a213f4996c6de3fb62d75b7e273f0753");
+          ("IWFQ-P", false, "685c131b088715ca50b14444d3bd3919");
+          ("IWFQ-P", true, "9514422cd4653c0feac65109c29fb678");
+          ("CSDPS", false, "6347aa92a5442947db5a526c925fbc73");
+          ("CSDPS", true, "02d1ad3b7880bd6ac9b745caa126f79a");
+        ])
 
 (* --- Chaos: degradation, jobs-invariance, budget, inert identity --- *)
 
@@ -677,6 +730,8 @@ let suite =
       test_cifq_lag_carry;
     Alcotest.test_case "mobile multi-cell run is jobs-invariant" `Quick
       test_jobs_invariance;
+    Alcotest.test_case "barrier peeks match pinned digests" `Quick
+      test_peek_digests;
     Alcotest.test_case "faulted run degrades without collapsing" `Quick
       test_chaos_degradation;
     Alcotest.test_case "faulted multi-cell run is jobs-invariant" `Slow
