@@ -58,13 +58,15 @@ let profile_dashboard ~horizon ~seed =
     Wfs_runner.Spec.make ~seed ~horizon ~sched:"SwapA-P"
       (Wfs_runner.Spec.example 2)
   in
-  let n_flows = Array.length (Wfs_runner.Exec.setups_of spec) in
   Wfs_obs.Profiler.span prof "dashboard" (fun () ->
       let _metrics =
         Wfs_obs.Profiler.span prof "run:SwapA-P" (fun () ->
             Wfs_runner.Exec.run
-              ~hooks:(fun sched ->
-                [ Wfs_obs.Probe.create ~instruments:reg ~n_flows sched ])
+              ~hooks:(fun flows sched ->
+                [
+                  Wfs_obs.Probe.create ~instruments:reg
+                    ~n_flows:(Array.length flows) sched;
+                ])
               ~profiler:(Wfs_obs.Profiler.hooks prof) spec)
       in
       Wfs_obs.Profiler.span prof "render" (fun () ->

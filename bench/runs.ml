@@ -80,7 +80,8 @@ let spec_job spec =
            carries the flight recorder's last events; re-raising keeps the
            pool's crash-isolation contract unchanged. *)
         match
-          Wfs_runner.Exec.run_outcome ~hooks:checked_hooks
+          Wfs_runner.Exec.run_outcome
+            ~hooks:(fun _ -> checked_hooks)
             ?flight_recorder:(flight_recorder_capacity ()) spec
         with
         | Ok m -> Metrics m
@@ -130,48 +131,6 @@ let result_of_json j =
       Some (Fairness { windows; jain; gap })
   | _ -> None
 
-(* --- resume --- *)
-
-let params_equal a b =
-  let norm l =
-    List.sort (fun (k, _) (k', _) -> String.compare k k') l
-    |> List.map (fun (k, v) -> (k, Json.to_string ~pretty:false v))
-  in
-  List.equal (fun (k, v) (k', v') -> String.equal k k' && String.equal v v')
-    (norm a) (norm b)
-
-(* Load a journal into [cached] and return an append-mode writer; create a
-   fresh journal when the file does not exist yet.  An unusable journal
-   (corrupt, wrong schema, different sweep settings) raises the typed
-   error — resuming over it could resurrect results from another sweep. *)
-let open_journal ~params ~cached path =
-  if Sys.file_exists path then begin
-    match Journal.load ~path () with
-    | Error e -> Error.raise_ e
-    | Ok { params = found; entries } ->
-        if not (params_equal found params) then
-          Error.bad_spec ~who:"Runs.exec"
-            "journal was written for different sweep settings"
-            ~context:
-              [
-                ("path", path);
-                ( "journal",
-                  Json.to_string ~pretty:false (Json.Obj found) );
-                ( "sweep",
-                  Json.to_string ~pretty:false (Json.Obj params) );
-              ];
-        List.iter
-          (fun (key, v) ->
-            match result_of_json v with
-            | Some r -> Hashtbl.replace cached key r
-            | None ->
-                Error.bad_spec ~who:"Runs.exec" "unreadable journal entry"
-                  ~context:[ ("path", path); ("key", key) ])
-          entries;
-        Journal.reopen ~path
-  end
-  else Journal.create ~path ~params ()
-
 let exec ~opts job_list =
   invariants_flag := opts.invariants;
   flight_recorder_flag := opts.flight_recorder;
@@ -187,9 +146,23 @@ let exec ~opts job_list =
         end)
       job_list
   in
+  (* A journal replays into [cached]; an entry that does not decode is
+     refused like a corrupt file, since resuming past it could resurrect
+     results from another sweep. *)
   let cached = Hashtbl.create 256 in
+  let replay path =
+    List.iter (fun (key, v) ->
+        match result_of_json v with
+        | Some r -> Hashtbl.replace cached key r
+        | None ->
+            Error.bad_spec ~who:"Runs.exec" "unreadable journal entry"
+              ~context:[ ("path", path); ("key", key) ])
+  in
   let writer =
-    Option.map (open_journal ~params:opts.params ~cached) opts.resume
+    Option.map
+      (fun path ->
+        snd (Journal.resume ~path ~params:opts.params (replay path)))
+      opts.resume
   in
   let pending : job array =
     Array.of_list

@@ -35,7 +35,8 @@ type opts = {
           recorder whose last events ride along in a failed job's error
           context (see {!Wfs_runner.Exec.run_outcome}) *)
   resume : string option;
-      (** journal path: created when absent, resumed when present *)
+      (** journal path: created when absent, resumed when present
+          ({!Wfs_runner.Journal.resume}) *)
   params : (string * Wfs_util.Json.t) list;
       (** sweep settings stamped into the journal header; a resumed journal
           must carry identical ones *)

@@ -41,13 +41,12 @@ let spec ~opts ?sum ?seed n sched =
     ~horizon:opts.horizon ~sched
     (Spec.example ?sum n)
 
-let replicas ~opts sp =
-  List.init opts.seeds (fun k -> Spec.with_seed (sp.Spec.seed + k) sp)
-
-let spec_jobs ~opts sp = List.map Runs.spec_job (replicas ~opts sp)
+let spec_jobs ~opts sp = List.map Runs.spec_job (Spec.replicas opts.seeds sp)
 
 let spec_metrics ~opts get sp =
-  List.map (fun s -> Runs.metrics get (Spec.to_string s)) (replicas ~opts sp)
+  List.map
+    (fun s -> Runs.metrics get (Spec.to_string s))
+    (Spec.replicas opts.seeds sp)
 
 (* --- custom runs (knobs a spec can't express), same replication --- *)
 
@@ -68,16 +67,8 @@ let custom_metrics ~opts get key =
       Runs.metrics get (custom_key key (opts.seed + k)))
 
 (* One rendered cell from a replicated run: the plain value for a single
-   seed, "mean±ci" (95% Student-t half-width) across several. *)
-let agg ?decimals ms f =
-  match ms with
-  | [ m ] -> cell ?decimals (f m)
-  | ms ->
-      let s = Summary.create () in
-      List.iter (fun m -> Summary.add s (f m)) ms;
-      Printf.sprintf "%s±%s"
-        (cell ?decimals (Summary.mean s))
-        (cell ?decimals (Summary.ci95 s))
+   seed, "mean±ci" across several. *)
+let agg = T.cell_of_replicas
 
 let run_direct ?hook ~horizon ~predictor setups sched =
   let cfg =
@@ -295,7 +286,7 @@ let table11 ~opts =
           custom_jobs ~opts ~key:(sweep_key (d, c)) (fun ~seed ->
               Wfs_runner.Exec.run
                 ~limits:(P.example6_limits ~d ~c)
-                ~hooks:Runs.checked_hooks
+                ~hooks:(fun _ -> Runs.checked_hooks)
                 (Spec.with_seed seed swapa_spec)))
         sweep
   in
@@ -1012,13 +1003,6 @@ let sections ~opts =
     bounds_check ~opts;
   ]
 
-let to_artifact t =
-  {
-    Wfs_runner.Artifact.title = T.title t;
-    columns = T.columns t;
-    rows = T.rows t;
-  }
-
 let all ?run_opts ~opts () =
   let secs = sections ~opts in
   let run_opts =
@@ -1041,4 +1025,4 @@ let all ?run_opts ~opts () =
             [])
       secs
   in
-  (List.map to_artifact tables, stats, failures)
+  (List.map Wfs_runner.Artifact.table_of tables, stats, failures)

@@ -97,14 +97,7 @@ let run ~path ~contention ~control_weight ~metrics_out ~trace_out ~trace_csv
       let art =
         Wfs_runner.Artifact.v ~horizon ~seed:scenario.Core.Scenario.seed
           ~seeds:1 ~jobs:1 ~runs:1 ~slots:horizon ~wall_clock_s:0.
-          ~tables:
-            [
-              {
-                Wfs_runner.Artifact.title = Wfs_util.Tablefmt.title t;
-                columns = Wfs_util.Tablefmt.columns t;
-                rows = Wfs_util.Tablefmt.rows t;
-              };
-            ]
+          ~tables:[ Wfs_runner.Artifact.table_of t ]
       in
       Wfs_runner.Artifact.write ~path:out_path art
   | _ -> ());

@@ -18,7 +18,6 @@ module Registry = Wfs_core.Registry
 module Spec = Wfs_runner.Spec
 module T = Wfs_util.Tablefmt
 module M = Wfs_core.Metrics
-module Summary = Wfs_util.Stats.Summary
 
 type output = Table | Csv
 
@@ -57,120 +56,6 @@ type run_result = {
   skip : Wfs_core.Skip_stats.t option;  (* fast-path skip telemetry *)
 }
 
-(* Observability options threaded into every run.  Sinks and the profiler
-   are shared mutable objects, so the driver forces --jobs 1 whenever they
-   are present; instrument registries are per-run and merge afterwards in
-   unit order, so they work at any job count. *)
-type obs = {
-  want_instruments : bool;
-  sinks : Wfs_obs.Sink.t list;
-  stride : int;
-  profiler : Wfs_obs.Profiler.t option;
-  flight : int option;  (* flight-recorder capacity *)
-  windows : (string * int) option;  (* --windows path, --window-slots *)
-}
-
-(* One self-contained run: registry lookup, fresh seeded setups, optional
-   fairness monitor and telemetry.  Safe to execute on any domain (with
-   the sink/profiler caveat above). *)
-let run_one ~credit ~debit ~fairness ~invariants ~fast_path ~obs
-    (spec : Spec.t) =
-  let entry = Registry.get spec.sched in
-  let setups = Wfs_runner.Exec.setups_of spec in
-  let flows = Wfs_core.Presets.flows_of setups in
-  let sched = entry.Registry.make ~credit_limit:credit ~debit_limit:debit flows in
-  let weights = Array.map (fun (f : Wfs_core.Params.flow) -> f.weight) flows in
-  let monitor =
-    if fairness then
-      Some (Wfs_core.Fairness.Monitor.create ~weights ~window:100 ~sched)
-    else None
-  in
-  let registry =
-    if obs.want_instruments then Some (Wfs_obs.Instruments.create ()) else None
-  in
-  let probe =
-    if obs.want_instruments || obs.sinks <> [] then
-      Some
-        (Wfs_obs.Probe.create ~stride:obs.stride ~sinks:obs.sinks
-           ?instruments:registry ~n_flows:(Array.length setups) sched)
-    else None
-  in
-  let trace =
-    Option.map
-      (fun cap -> Wfs_core.Tracelog.create ~capacity:cap ())
-      obs.flight
-  in
-  (* Windowed aggregation is a per-slot hook here (it degenerates the
-     fast path, like --fairness); topology runs sample at barriers
-     instead and stay compressed. *)
-  let wcoll =
-    Option.map
-      (fun (_, window) -> Wfs_xray.Windowed.create ~weights ~window)
-      obs.windows
-  in
-  (* Skip telemetry records at window granularity and is deliberately NOT
-     part of the fast path's degeneration condition: a --fast-path run
-     stays compressed while counting what it skipped. *)
-  let skip = if fast_path then Some (Wfs_core.Skip_stats.create ()) else None in
-  let module C = Wfs_core.Sim_config in
-  let maybe step = function Some v -> step v | None -> Fun.id in
-  (* Hooks run in the order added: the invariant monitor first, so a
-     violation stops the slot before anything reports it, then the probe,
-     then the windowed observers. *)
-  let cfg =
-    C.v ~horizon:spec.horizon setups
-    |> C.with_predictor entry.Registry.predictor
-    |> maybe C.with_trace trace
-    |> maybe C.with_profiler (Option.map Wfs_obs.Profiler.hooks obs.profiler)
-    |> maybe C.with_skip_stats skip
-    |> C.with_fast_path fast_path
-    |> (if invariants then C.with_hook (Wfs_core.Invariant.hook sched) else Fun.id)
-    |> maybe C.with_hook probe
-    |> maybe C.with_hook (Option.map Wfs_core.Fairness.Monitor.hook monitor)
-    |> maybe C.with_hook (Option.map Wfs_xray.Windowed.hook wcoll)
-  in
-  match C.run sched cfg with
-  | metrics ->
-      (match (wcoll, obs.windows) with
-      | Some w, Some (path, window) ->
-          Wfs_xray.Windowed.flush w ~slot:(spec.horizon - 1) ~metrics;
-          Wfs_xray.Windowed.write ~path ~window (Wfs_xray.Windowed.windows w)
-      | _ -> ());
-      {
-        metrics;
-        jain_gap =
-          Option.map
-            (fun mon ->
-              ( Wfs_core.Fairness.Monitor.mean_jain mon,
-                Wfs_core.Fairness.Monitor.worst_gap mon ))
-            monitor;
-        instruments = registry;
-        skip;
-      }
-  | exception exn -> (
-      (* With a flight recorder on, a dying run takes its last N events
-         along: re-raise as a typed error whose context carries them, so
-         the failure table shows what the scheduler was doing. *)
-      match trace with
-      | None -> raise exn
-      | Some tr ->
-          let backtrace = Printexc.get_raw_backtrace () in
-          let e = Wfs_util.Error.of_exn ~who:"wfs_sim" ~backtrace exn in
-          Wfs_util.Error.raise_
-            (Wfs_util.Error.add_context (Wfs_runner.Exec.flight_context tr) e))
-
-(* One rendered cell: plain value for a single replica, mean±95% CI across
-   several. *)
-let agg ?decimals results f =
-  match results with
-  | [| r |] -> T.cell_of_float ?decimals (f r)
-  | results ->
-      let s = Summary.create () in
-      Array.iter (fun r -> Summary.add s (f r)) results;
-      Printf.sprintf "%s±%s"
-        (T.cell_of_float ?decimals (Summary.mean s))
-        (T.cell_of_float ?decimals (Summary.ci95 s))
-
 (* Run every (label, spec) with [seeds] replicas crash-isolated on the
    domain pool and print one row per flow per label.  A replica that fails
    (raise, or slot budget refusal) loses only its own label: that label's
@@ -180,13 +65,10 @@ let run_and_render ~title ~output ~jobs ~seeds ~credit ~debit ~fairness
     ~retries ~max_slots ~invariants ~fast_path ~flow_base ~metrics_out
     ~trace_out ~trace_csv ~trace_stride ~profile ~flight_recorder
     ~windows_out ~window_slots labeled_specs =
-  let units =
-    Array.of_list
-      (List.concat_map
-         (fun (_, sp) ->
-           List.init seeds (fun k -> Spec.with_seed (sp.Spec.seed + k) sp))
-         labeled_specs)
+  let replicated =
+    List.map (fun (label, sp) -> (label, Spec.replicas seeds sp)) labeled_specs
   in
+  let units = Array.of_list (List.concat_map snd replicated) in
   let tracing = trace_out <> None || trace_csv <> None in
   if tracing && Array.length units <> 1 then begin
     Printf.eprintf
@@ -225,37 +107,78 @@ let run_and_render ~title ~output ~jobs ~seeds ~credit ~debit ~fairness
     end
   in
   let profiler = if profile then Some (Wfs_obs.Profiler.create ()) else None in
-  let obs =
-    {
-      want_instruments = metrics_out <> None;
-      sinks;
-      stride = trace_stride;
-      profiler;
-      flight = flight_recorder;
-      windows = Option.map (fun p -> (p, window_slots)) windows_out;
-    }
+  (* Every run goes through Exec.run_outcome, which owns registry lookup,
+     the slot budget, the flight recorder and error classification; this
+     driver only says which observers to attach.  Sinks and the profiler
+     are shared mutable objects, so the caller forces --jobs 1 whenever
+     they are present; everything else is built per run, on whichever
+     domain runs it. *)
+  let run (sp : Spec.t) =
+    let instruments =
+      if metrics_out <> None then Some (Wfs_obs.Instruments.create ()) else None
+    in
+    (* Skip telemetry records at window granularity and is deliberately
+       NOT part of the fast path's degeneration condition: a --fast-path
+       run stays compressed while counting what it skipped. *)
+    let skip =
+      if fast_path then Some (Wfs_core.Skip_stats.create ()) else None
+    in
+    let monitor = ref None and wcoll = ref None in
+    (* Hooks run in list order: the invariant monitor first, so a
+       violation stops the slot before anything reports it, then the
+       probe, then the windowed observers.  Windowed aggregation is a
+       per-slot hook here (it degenerates the fast path, like --fairness);
+       topology runs sample at barriers instead and stay compressed. *)
+    let hooks flows sched =
+      let weights =
+        Array.map (fun (f : Wfs_core.Params.flow) -> f.weight) flows
+      in
+      if fairness then
+        monitor :=
+          Some (Wfs_core.Fairness.Monitor.create ~weights ~window:100 ~sched);
+      let probe =
+        if instruments <> None || sinks <> [] then
+          Some
+            (Wfs_obs.Probe.create ~stride:trace_stride ~sinks ?instruments
+               ~n_flows:(Array.length flows) sched)
+        else None
+      in
+      wcoll :=
+        Option.map
+          (fun _ -> Wfs_xray.Windowed.create ~weights ~window:window_slots)
+          windows_out;
+      List.filter_map Fun.id
+        [
+          (if invariants then Some (Wfs_core.Invariant.hook sched) else None);
+          probe;
+          Option.map Wfs_core.Fairness.Monitor.hook !monitor;
+          Option.map Wfs_xray.Windowed.hook !wcoll;
+        ]
+    in
+    Wfs_runner.Exec.run_outcome ~credit_limit:credit ~debit_limit:debit
+      ~hooks
+      ?profiler:(Option.map Wfs_obs.Profiler.hooks profiler)
+      ?flight_recorder ~fast_path ?skip_stats:skip ?max_slots sp
+    |> Result.map (fun metrics ->
+           (match (!wcoll, windows_out) with
+           | Some w, Some path ->
+               Wfs_xray.Windowed.flush w ~slot:(sp.Spec.horizon - 1) ~metrics;
+               Wfs_xray.Windowed.write ~path ~window:window_slots
+                 (Wfs_xray.Windowed.windows w)
+           | _ -> ());
+           {
+             metrics;
+             jain_gap =
+               Option.map
+                 (fun mon ->
+                   ( Wfs_core.Fairness.Monitor.mean_jain mon,
+                     Wfs_core.Fairness.Monitor.worst_gap mon ))
+                 !monitor;
+             instruments;
+             skip;
+           })
   in
-  let outcomes =
-    Wfs_runner.Pool.map_outcomes ~jobs ~retries
-      (fun (sp : Spec.t) ->
-        match max_slots with
-        | Some cap when sp.Spec.horizon > cap ->
-            (* Deterministic watchdog: the slot loop is horizon-bounded, so
-               a run's cost is declared up front and over-budget runs are
-               refused before they start. *)
-            Error
-              (Wfs_util.Error.v Wfs_util.Error.Sim_fault ~who:"wfs_sim"
-                 "slot budget exceeded"
-                 ~context:
-                   [
-                     ("spec", Spec.to_string sp);
-                     ("horizon", string_of_int sp.Spec.horizon);
-                     ("max_slots", string_of_int cap);
-                   ])
-        | _ ->
-            Ok (run_one ~credit ~debit ~fairness ~invariants ~fast_path ~obs sp))
-      units
-  in
+  let outcomes = Wfs_runner.Pool.map_outcomes ~jobs ~retries run units in
   List.iter Wfs_obs.Sink.close sinks;
   let columns =
     [ "algorithm"; "flow"; "mean_delay"; "loss"; "max_delay"; "stddev"; "thpt" ]
@@ -269,54 +192,46 @@ let run_and_render ~title ~output ~jobs ~seeds ~credit ~debit ~fairness
     | Table -> T.add_row table cells
     | Csv -> csv_rows := String.concat "," cells :: !csv_rows
   in
+  (* One rendered cell per flow: the plain value for a single replica,
+     mean±CI across several. *)
+  let agg = T.cell_of_replicas in
   List.iteri
-    (fun li (label, (sp : Spec.t)) ->
-      let reps_out = Array.sub outcomes (li * seeds) seeds in
-      let failed =
-        Array.exists (function Error _ -> true | Ok _ -> false) reps_out
-      in
-      if failed then
-        Array.iteri
-          (fun k out ->
-            match out with
-            | Error e ->
-                failures :=
-                  (Spec.to_string (Spec.with_seed (sp.Spec.seed + k) sp), e)
-                  :: !failures
-            | Ok _ -> ())
-          reps_out
-      else begin
-        let reps =
-          Array.map
-            (function Ok r -> r | Error _ -> assert false)
-            reps_out
-        in
-        let n_flows = M.n_flows reps.(0).metrics in
-        for i = 0 to n_flows - 1 do
-          let base =
-            [
-              label;
-              string_of_int (i + flow_base);
-              agg reps (fun r -> M.mean_delay r.metrics ~flow:i);
-              agg ~decimals:4 reps (fun r -> M.loss r.metrics ~flow:i);
-              agg reps (fun r -> M.max_delay r.metrics ~flow:i);
-              agg reps (fun r -> M.stddev_delay r.metrics ~flow:i);
-              agg ~decimals:4 reps (fun r ->
-                  M.throughput r.metrics ~flow:i ~slots:sp.Spec.horizon);
-            ]
-          in
-          let extra =
-            if fairness then
+    (fun li (label, specs) ->
+      let outs = Array.to_list (Array.sub outcomes (li * seeds) seeds) in
+      match List.filter_map Result.to_option outs with
+      | reps when List.length reps < seeds ->
+          List.iter2
+            (fun sp out ->
+              match out with
+              | Error e -> failures := (Spec.to_string sp, e) :: !failures
+              | Ok _ -> ())
+            specs outs
+      | reps ->
+          let horizon = (List.hd specs).Spec.horizon in
+          for i = 0 to M.n_flows (List.hd reps).metrics - 1 do
+            let base =
               [
-                agg ~decimals:4 reps (fun r -> fst (Option.get r.jain_gap));
-                agg reps (fun r -> snd (Option.get r.jain_gap));
+                label;
+                string_of_int (i + flow_base);
+                agg reps (fun r -> M.mean_delay r.metrics ~flow:i);
+                agg ~decimals:4 reps (fun r -> M.loss r.metrics ~flow:i);
+                agg reps (fun r -> M.max_delay r.metrics ~flow:i);
+                agg reps (fun r -> M.stddev_delay r.metrics ~flow:i);
+                agg ~decimals:4 reps (fun r ->
+                    M.throughput r.metrics ~flow:i ~slots:horizon);
               ]
-            else []
-          in
-          emit (base @ extra)
-        done
-      end)
-    labeled_specs;
+            in
+            let extra =
+              if fairness then
+                [
+                  agg ~decimals:4 reps (fun r -> fst (Option.get r.jain_gap));
+                  agg reps (fun r -> snd (Option.get r.jain_gap));
+                ]
+              else []
+            in
+            emit (base @ extra)
+          done)
+    replicated;
   (match output with
   | Table -> T.print table
   | Csv ->
@@ -352,15 +267,8 @@ let run_and_render ~title ~output ~jobs ~seeds ~credit ~debit ~fairness
       | registries ->
           let merged = Wfs_obs.Instruments.merge_all registries in
           let t = Wfs_obs.Instruments.to_table ~title:"probe instruments" merged in
-          let art_table =
-            {
-              Wfs_runner.Artifact.title = T.title t;
-              columns = T.columns t;
-              rows = T.rows t;
-            }
-          in
           let art_tables =
-            [ art_table ]
+            [ Wfs_runner.Artifact.table_of t ]
             @
             match skip_merged with
             | Some k -> [ Wfs_xray.Skip_telemetry.artifact_table k ]
@@ -381,7 +289,7 @@ let run_and_render ~title ~output ~jobs ~seeds ~credit ~debit ~fairness
               ~wall_clock_s:0. ~tables:art_tables
           in
           Wfs_runner.Artifact.write ~path art));
-  (match obs.profiler with
+  (match profiler with
   | None -> ()
   | Some prof ->
       let slots =
@@ -482,16 +390,6 @@ let topo_run_of_json j =
       t_timeline = timeline;
     }
 
-let topo_params_equal a b =
-  let module J = Wfs_util.Json in
-  let norm l =
-    List.sort (fun (k, _) (k', _) -> String.compare k k') l
-    |> List.map (fun (k, v) -> (k, J.to_string ~pretty:false v))
-  in
-  List.equal
-    (fun (k, v) (k', v') -> String.equal k k' && String.equal v v')
-    (norm a) (norm b)
-
 (* Multi-cell runs go through Wfs_topo.Topology instead of the replica
    pool: cells shard over the domain pool inside one run, handoffs apply
    at epoch barriers, and the rendered table is global-flow-id indexed
@@ -540,30 +438,7 @@ let render_topo ~title ~output ~jobs ~credit ~debit ~invariants ~fast_path
       ("fast_path", J.Bool fast_path);
     ]
   in
-  let journal =
-    match resume with
-    | None -> None
-    | Some path ->
-        if Sys.file_exists path then (
-          match TJ.load ~path with
-          | Error e -> Wfs_util.Error.raise_ e
-          | Ok contents ->
-              if not (topo_params_equal contents.TJ.params params) then
-                Wfs_util.Error.bad_spec ~who:"wfs_sim"
-                  "topo journal was written for different settings"
-                  ~context:
-                    [
-                      ("path", path);
-                      ( "journal",
-                        J.to_string ~pretty:false (J.Obj contents.TJ.params) );
-                      ("run", J.to_string ~pretty:false (J.Obj params));
-                    ];
-              Some (contents, TJ.reopen ~path))
-        else
-          Some
-            ( { TJ.params; snapshots = []; results = [] },
-              TJ.create ~path ~params )
-  in
+  let journal = Option.map (fun path -> TJ.resume ~path ~params) resume in
   let failures = ref [] in
   let runs = ref [] in
   List.iter
@@ -784,16 +659,7 @@ let render_topo ~title ~output ~jobs ~credit ~debit ~invariants ~fast_path
           let t =
             Wfs_obs.Instruments.to_table ~title:"topology instruments" merged
           in
-          let tables =
-            ref
-              [
-                {
-                  Wfs_runner.Artifact.title = T.title t;
-                  columns = T.columns t;
-                  rows = T.rows t;
-                };
-              ]
-          in
+          let tables = ref [ Wfs_runner.Artifact.table_of t ] in
           (* Chaos telemetry rides along as a second table — only when
              some spec actually ran with an active fault plan, so
              zero-fault artifacts stay byte-identical to pre-chaos
@@ -805,15 +671,7 @@ let render_topo ~title ~output ~jobs ~credit ~debit ~invariants ~fast_path
                 Wfs_obs.Instruments.to_table ~title:"chaos instruments"
                   (Wfs_obs.Instruments.merge_all chaos_regs)
               in
-              tables :=
-                !tables
-                @ [
-                    {
-                      Wfs_runner.Artifact.title = T.title ct;
-                      columns = T.columns ct;
-                      rows = T.rows ct;
-                    };
-                  ]);
+              tables := !tables @ [ Wfs_runner.Artifact.table_of ct ]);
           let sp0 =
             match runs with (_, sp, _) :: _ -> sp | [] -> assert false
           in

@@ -4,7 +4,6 @@ type t = {
   setups : Simulator.flow_setup array;
   addrs : (int * direction) array;
   horizon : int;
-  predictor : Wfs_channel.Predictor.kind;
   seed : int;
 }
 
@@ -85,21 +84,6 @@ let parse_channel ~line ~rng s =
         ~length:(int_of ~line "badburst length" len)
   | _ -> fail ~line "unknown channel %S" s
 
-(* The predictor is built per run, long after parsing; building one here
-   puts its range check (a snoop period of 0) on the directive's line. *)
-let parse_predictor ~line s =
-  let kind =
-    match split_spec s with
-    | "one-step", [] -> Wfs_channel.Predictor.One_step
-    | "perfect", [] -> Wfs_channel.Predictor.Perfect
-    | "blind", [] -> Wfs_channel.Predictor.Blind
-    | "snoop", [ k ] ->
-        Wfs_channel.Predictor.Periodic_snoop (int_of ~line "snoop period" k)
-    | _ -> fail ~line "unknown predictor %S" s
-  in
-  on_line ~line (fun () -> ignore (Wfs_channel.Predictor.create kind));
-  kind
-
 type flow_line = {
   weight : float;
   drop : Params.drop_policy;
@@ -173,7 +157,6 @@ let strip_comment line =
 let parse ?seed:seed_override ?horizon:horizon_override text =
   let horizon = ref 100_000 in
   let seed = ref 42 in
-  let predictor = ref Wfs_channel.Predictor.One_step in
   let flow_lines = ref [] in
   let seen_flow = ref false in
   List.iteri
@@ -188,7 +171,10 @@ let parse ?seed:seed_override ?horizon:horizon_override text =
           if !seen_flow then
             fail ~line "seed must be set before the first flow";
           seed := int_of ~line "seed" n
-      | "predictor" :: [ p ] -> predictor := parse_predictor ~line p
+      | "predictor" :: _ ->
+          fail ~line
+            "the predictor directive is gone: a scheduler name's -I/-P \
+             suffix sets its channel knowledge"
       | "flow" :: attrs ->
           seen_flow := true;
           flow_lines := parse_flow_line ~line attrs :: !flow_lines
@@ -224,7 +210,7 @@ let parse ?seed:seed_override ?horizon:horizon_override text =
            (Option.value ~default:(id + 1) fl.host, fl.direction))
          flow_lines)
   in
-  { setups; addrs; horizon = !horizon; predictor = !predictor; seed = !seed }
+  { setups; addrs; horizon = !horizon; seed = !seed }
 
 let load ?seed ?horizon path =
   let ic = open_in path in
@@ -232,16 +218,3 @@ let load ?seed ?horizon path =
   let text = really_input_string ic len in
   close_in ic;
   parse ?seed ?horizon text
-
-let flows t = Presets.flows_of t.setups
-
-let run ?scheduler t =
-  let flow_params = flows t in
-  let sched =
-    match scheduler with
-    | Some f -> f flow_params
-    | None -> Wps.instance (Wps.create ~params:(Params.swapa ()) flow_params)
-  in
-  Sim_config.v ~horizon:t.horizon t.setups
-  |> Sim_config.with_predictor t.predictor
-  |> Sim_config.run sched

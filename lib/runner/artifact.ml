@@ -17,6 +17,13 @@ type t = {
   tables : table list;
 }
 
+let table_of t =
+  {
+    title = Wfs_util.Tablefmt.title t;
+    columns = Wfs_util.Tablefmt.columns t;
+    rows = Wfs_util.Tablefmt.rows t;
+  }
+
 let schema_version = "wfs-bench/1"
 
 let v ~horizon ~seed ~seeds ~jobs ~runs ~slots ~wall_clock_s ~tables =

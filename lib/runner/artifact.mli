@@ -31,6 +31,9 @@ type t = {
   tables : table list;
 }
 
+val table_of : Wfs_util.Tablefmt.t -> table
+(** A rendered table's title, columns and padded rows, as stored. *)
+
 val schema_version : string
 (** ["wfs-bench/1"] *)
 

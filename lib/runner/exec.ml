@@ -24,7 +24,7 @@ let setups_of (spec : Spec.t) =
    the knob. *)
 let maybe step opt t = match opt with None -> t | Some v -> step v t
 
-let run ?credit_limit ?debit_limit ?limits ?(hooks = fun _ -> []) ?trace
+let run ?credit_limit ?debit_limit ?limits ?(hooks = fun _ _ -> []) ?trace
     ?profiler ?histograms ?fast_path ?skip_stats (spec : Spec.t) =
   (match spec.topo with
   | Some _ ->
@@ -38,7 +38,8 @@ let run ?credit_limit ?debit_limit ?limits ?(hooks = fun _ -> []) ?trace
   let flows = Core.Presets.flows_of setups in
   let sched = entry.Core.Registry.make ?credit_limit ?debit_limit ?limits flows in
   (* The scheduler instance exists only here, so hooks arrive as a
-     builder: the caller says which hooks, this function builds them. *)
+     builder: the caller says which hooks, this function builds them from
+     the run's flows and scheduler. *)
   let cfg =
     Core.Sim_config.v ~horizon:spec.horizon setups
     |> Core.Sim_config.with_predictor entry.Core.Registry.predictor
@@ -48,7 +49,9 @@ let run ?credit_limit ?debit_limit ?limits ?(hooks = fun _ -> []) ?trace
     |> maybe Core.Sim_config.with_fast_path fast_path
     |> maybe Core.Sim_config.with_skip_stats skip_stats
   in
-  List.fold_left (fun c h -> Core.Sim_config.with_hook h c) cfg (hooks sched)
+  List.fold_left
+    (fun c h -> Core.Sim_config.with_hook h c)
+    cfg (hooks flows sched)
   |> Core.Sim_config.run sched
 
 (* The flight recorder is a capacity-bounded Tracelog: cheap enough to
@@ -118,18 +121,3 @@ let run_outcome ?credit_limit ?debit_limit ?limits ?hooks ?trace ?profiler
             (Error.add_context
                (spec_context @ recorder_context ())
                (Error.of_exn ~who:"Exec.run_outcome" ~backtrace exn)))
-
-let run_all ~jobs ?credit_limit ?debit_limit ?limits specs =
-  Pool.map ~jobs (fun spec -> run ?credit_limit ?debit_limit ?limits spec) specs
-
-let replicate ~jobs ~seeds (spec : Spec.t) =
-  if seeds < 1 then
-    Wfs_util.Error.invalidf "Exec.replicate" "seeds must be >= 1, got %d"
-      seeds;
-  run_all ~jobs
-    (Array.init seeds (fun k -> Spec.with_seed (spec.seed + k) spec))
-
-let summarize metric results =
-  let s = Wfs_util.Stats.Summary.create () in
-  Array.iter (fun m -> Wfs_util.Stats.Summary.add s (metric m)) results;
-  s

@@ -1,18 +1,22 @@
-(** Execute run specs: spec enumeration → parallel execution → merge.
+(** The one single-cell run path: spec → registry lookup → seeded setups
+    → {!Wfs_core.Sim_config} → metrics, with typed error classification.
 
     {!run} turns one {!Spec.t} into metrics by resolving the scheduler
     through {!Wfs_core.Registry}, building the scenario's seeded flow
-    setups, and driving {!Wfs_core.Simulator}.  Every run is
-    self-contained — all RNG streams are split from the spec's own seed —
-    so {!run_all} can execute any number of specs on a {!Pool} of domains
-    and the merged result array is byte-identical for any [jobs] count and
+    setups, and driving {!Wfs_core.Simulator}; {!run_outcome} adds the
+    slot budget, the flight recorder and crash isolation.  A driver that
+    runs a spec only says which observers to attach (a hook builder, a
+    profiler, skip stats); the assembly happens here.  Every run is self-contained — all
+    RNG streams are split from the spec's own seed — so
+    [Pool.map ~jobs run specs] is byte-identical for any [jobs] count and
     any execution order. *)
 
 val setups_of : Spec.t -> Wfs_core.Simulator.flow_setup array
 (** The spec's seeded flow setups (source/channel streams split from the
     spec seed), freshly built — sources and channels are stateful, so each
-    run needs its own.  Exposed for callers that build their own
-    {!Wfs_core.Sim_config} (e.g. to attach a fairness monitor).
+    run needs its own.  Exposed for callers that need the flows before a
+    run (a trace header's flow count) and for the topology driver, which
+    builds one cell per seed.
     @raise Wfs_util.Error.Error (kind [Bad_spec]) / [Sys_error] on a bad
     file *)
 
@@ -20,7 +24,10 @@ val run :
   ?credit_limit:int ->
   ?debit_limit:int ->
   ?limits:(int * int) array ->
-  ?hooks:(Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.hook list) ->
+  ?hooks:
+    (Wfs_core.Params.flow array ->
+    Wfs_core.Wireless_sched.instance ->
+    Wfs_core.Simulator.hook list) ->
   ?trace:Wfs_core.Tracelog.t ->
   ?profiler:Wfs_core.Simulator.profiler_hooks ->
   ?histograms:bool ->
@@ -34,14 +41,15 @@ val run :
     {!Wfs_core.Sim_config} step of the same name ([skip_stats] records
     fast-path skip telemetry without degenerating the compressed engine).
     [hooks] is a {e builder}: the scheduler instance only exists inside
-    this call, so the caller passes a function from instance to hook list
-    (e.g. [fun sched -> [Wfs_core.Invariant.hook sched;
-    Wfs_obs.Probe.create ~n_flows sched]]).  It is invoked once, after
-    scheduler construction, and its hooks run in list order.  For a
-    [File] scenario the spec's seed/horizon override the file's
-    directives, and the scheduler entry's predictor overrides the file's
-    [predictor] line (the registry name states the channel knowledge,
-    e.g. "-I" vs "-P").
+    this call, so the caller passes a function from the run's flows and
+    instance to a hook list (e.g. [fun flows sched ->
+    [Wfs_core.Invariant.hook sched;
+    Wfs_obs.Probe.create ~n_flows:(Array.length flows) sched]]; observers
+    such as a fairness monitor read the flows' weights).  It is invoked
+    once, after scheduler construction, and its hooks run in list order.
+    For a [File] scenario the spec's seed/horizon override the file's
+    directives.  The registry entry fixes the channel predictor: the
+    name's "-I"/"-P" suffix states the channel knowledge.
     @raise Invalid_argument on an unknown scheduler name, or when the
     spec carries a topology clause — a multi-cell spec describes a
     [Wfs_topo.Topology] run, not a single-scheduler one; route it
@@ -55,7 +63,10 @@ val run_outcome :
   ?credit_limit:int ->
   ?debit_limit:int ->
   ?limits:(int * int) array ->
-  ?hooks:(Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.hook list) ->
+  ?hooks:
+    (Wfs_core.Params.flow array ->
+    Wfs_core.Wireless_sched.instance ->
+    Wfs_core.Simulator.hook list) ->
   ?trace:Wfs_core.Tracelog.t ->
   ?profiler:Wfs_core.Simulator.profiler_hooks ->
   ?flight_recorder:int ->
@@ -90,27 +101,5 @@ val flight_context : Wfs_core.Tracelog.t -> (string * string) list
 (** The context fields a flight recorder contributes to an error:
     [flight-recorder-events] (entries retained) and [flight-recorder] (the
     entries rendered ["s<slot> <event>"], ["|"]-separated).  Exposed for
-    drivers that manage their own recorder (e.g. the CLI's fairness path,
-    which builds its scheduler outside {!run}). *)
-
-val run_all :
-  jobs:int ->
-  ?credit_limit:int ->
-  ?debit_limit:int ->
-  ?limits:(int * int) array ->
-  Spec.t array ->
-  Wfs_core.Metrics.t array
-(** {!run} every spec on up to [jobs] domains; result [i] belongs to spec
-    [i] regardless of scheduling. *)
-
-val replicate : jobs:int -> seeds:int -> Spec.t -> Wfs_core.Metrics.t array
-(** Multi-seed replication: run [seeds] copies of the spec with seeds
-    [spec.seed, spec.seed + 1, ..., spec.seed + seeds - 1] in parallel.
-    @raise Invalid_argument when [seeds < 1]. *)
-
-val summarize :
-  (Wfs_core.Metrics.t -> float) ->
-  Wfs_core.Metrics.t array ->
-  Wfs_util.Stats.Summary.t
-(** Fold one scalar metric across replications into a summary (mean,
-    stddev, {!Wfs_util.Stats.Summary.ci95}, ...). *)
+    runs that are not single-cell specs and manage their own recorder
+    (the MAC driver, [bin/wfs_mac]). *)

@@ -51,3 +51,20 @@ val load :
   ?schema:string -> path:string -> unit -> (contents, Wfs_util.Error.t) result
 (** Read a journal back under [schema] (default {!schema}); an entry
     missing its key or value counts as undecodable. *)
+
+val resume :
+  ?schema:string ->
+  path:string ->
+  params:(string * Wfs_util.Json.t) list ->
+  ((string * Wfs_util.Json.t) list -> 'a) ->
+  'a * writer
+(** [resume ~path ~params decode] is the resume rule every journal kind
+    shares.  When [path] is absent it decodes no entries and creates the
+    journal with a header carrying [params].  Otherwise it loads the file
+    under [schema], refuses it when the header's params differ from
+    [params] (compared as compact JSON, in any key order), decodes its
+    entries and reopens it for appending.  [decode] runs before the file
+    is reopened, so a journal it refuses by raising is left untouched.
+    @raise Wfs_util.Error.Error (kind [Bad_spec]) on a corrupt journal,
+    a wrong schema, or a header written for different settings — resuming
+    over it could resurrect results of another run *)

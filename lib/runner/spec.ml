@@ -93,6 +93,10 @@ let make ?(seed = default_seed) ?(horizon = default_horizon) ?topo ~sched
 
 let with_seed seed t = { t with seed }
 
+let replicas n t =
+  if n < 1 then Wfs_util.Error.invalidf "Spec.replicas" "need n >= 1, got %d" n;
+  List.init n (fun k -> with_seed (t.seed + k) t)
+
 let with_horizon horizon t =
   make ~seed:t.seed ~horizon ?topo:t.topo ~sched:t.sched t.scenario
 

@@ -120,6 +120,13 @@ val make : ?seed:int -> ?horizon:int -> ?topo:topo -> sched:string -> scenario -
     @raise Invalid_argument on a non-positive horizon. *)
 
 val with_seed : int -> t -> t
+
+val replicas : int -> t -> t list
+(** [replicas n t] is the replication rule every driver shares: [n]
+    copies of [t] with the consecutive seeds [t.seed], [t.seed + 1], ...,
+    [t.seed + n - 1], in that order.
+    @raise Invalid_argument when [n < 1]. *)
+
 val with_horizon : int -> t -> t
 val with_sched : string -> t -> t
 val with_topo : topo -> t -> t

@@ -41,62 +41,69 @@ let parse_key key =
       else None)
   | Some _ | None -> None
 
-let load ~path =
-  match Journal.load ~schema ~path () with
-  | Error e -> Error e
-  | Ok { Journal.params; entries } -> (
-      let snap_tbl = Hashtbl.create 64 in
-      let res_tbl = Hashtbl.create 16 in
-      let seen_spec = Hashtbl.create 16 in
-      let spec_order = ref [] in
-      let note_spec s =
-        if not (Hashtbl.mem seen_spec s) then begin
-          Hashtbl.add seen_spec s ();
-          spec_order := s :: !spec_order
-        end
+let index ~path ~params entries =
+  let snap_tbl = Hashtbl.create 64 in
+  let res_tbl = Hashtbl.create 16 in
+  let seen_spec = Hashtbl.create 16 in
+  let spec_order = ref [] in
+  let note_spec s =
+    if not (Hashtbl.mem seen_spec s) then begin
+      Hashtbl.add seen_spec s ();
+      spec_order := s :: !spec_order
+    end
+  in
+  let bad = ref None in
+  List.iter
+    (fun (key, v) ->
+      if Option.is_none !bad then
+        match parse_key key with
+        | Some (`Snapshot (spec, slot)) ->
+            note_spec spec;
+            Hashtbl.replace snap_tbl (spec, slot) v
+        | Some (`Result spec) ->
+            note_spec spec;
+            Hashtbl.replace res_tbl spec v
+        | None -> bad := Some key)
+    entries;
+  match !bad with
+  | Some key ->
+      Error
+        (Error.v Error.Bad_spec ~who:"Topo_journal.load"
+           "unrecognized topo-journal key"
+           ~context:[ ("path", path); ("key", key) ])
+  | None ->
+      let specs = List.rev !spec_order in
+      let snapshots =
+        List.map
+          (fun s ->
+            let slots =
+              (* lint: allow R1 -- bindings are sorted by slot immediately below, so hash order never escapes *)
+              Hashtbl.fold (* analyze: allow A1 -- hash order is erased by the Int.compare sort below before anything reads the list *)
+                (fun (s', slot) v acc ->
+                  if String.equal s s' then (slot, v) :: acc else acc)
+                snap_tbl []
+            in
+            ( s,
+              List.sort (fun (a, _) (b, _) -> Int.compare a b) slots ))
+          specs
       in
-      let bad = ref None in
-      List.iter
-        (fun (key, v) ->
-          if Option.is_none !bad then
-            match parse_key key with
-            | Some (`Snapshot (spec, slot)) ->
-                note_spec spec;
-                Hashtbl.replace snap_tbl (spec, slot) v
-            | Some (`Result spec) ->
-                note_spec spec;
-                Hashtbl.replace res_tbl spec v
-            | None -> bad := Some key)
-        entries;
-      match !bad with
-      | Some key ->
-          Error
-            (Error.v Error.Bad_spec ~who:"Topo_journal.load"
-               "unrecognized topo-journal key"
-               ~context:[ ("path", path); ("key", key) ])
-      | None ->
-          let specs = List.rev !spec_order in
-          let snapshots =
-            List.map
-              (fun s ->
-                let slots =
-                  (* lint: allow R1 -- bindings are sorted by slot immediately below, so hash order never escapes *)
-                  Hashtbl.fold (* analyze: allow A1 -- hash order is erased by the Int.compare sort below before anything reads the list *)
-                    (fun (s', slot) v acc ->
-                      if String.equal s s' then (slot, v) :: acc else acc)
-                    snap_tbl []
-                in
-                ( s,
-                  List.sort (fun (a, _) (b, _) -> Int.compare a b) slots ))
-              specs
-          in
-          let results =
-            List.filter_map
-              (fun s ->
-                Option.map (fun v -> (s, v)) (Hashtbl.find_opt res_tbl s))
-              specs
-          in
-          Ok { params; snapshots; results })
+      let results =
+        List.filter_map
+          (fun s ->
+            Option.map (fun v -> (s, v)) (Hashtbl.find_opt res_tbl s))
+          specs
+      in
+      Ok { params; snapshots; results }
+
+let load ~path =
+  Result.bind (Journal.load ~schema ~path ()) (fun { Journal.params; entries } ->
+      index ~path ~params entries)
+
+let resume ~path ~params =
+  Journal.resume ~schema ~path ~params (fun entries ->
+      match index ~path ~params entries with
+      | Ok contents -> contents
+      | Error e -> Error.raise_ e)
 
 let find_snapshot contents ~spec ~slot =
   Option.bind

@@ -25,7 +25,7 @@
 
     Header [params] must capture every setting that changes the run
     (credit/debit overrides, invariants — {e not} [jobs], which is
-    output-invariant by construction); the driver compares them before
+    output-invariant by construction); {!resume} compares them before
     trusting a journal. *)
 
 val schema : string
@@ -55,6 +55,13 @@ val load : path:string -> (contents, Wfs_util.Error.t) result
 (** {!Wfs_runner.Journal.load} under this schema, then key parsing:
     [Error] (kind [Bad_spec]) additionally on a structurally valid line
     whose key is not [<spec> #epoch:<n>] or [<spec> #result]. *)
+
+val resume : path:string -> params:(string * Wfs_util.Json.t) list -> contents * writer
+(** {!Wfs_runner.Journal.resume} under this schema: a fresh journal with
+    empty contents when [path] is absent, otherwise the loaded contents
+    and an append-mode writer.
+    @raise Wfs_util.Error.Error (kind [Bad_spec]) as {!load} fails, or
+    when the header's params differ from [params]. *)
 
 val find_snapshot :
   contents -> spec:string -> slot:int -> Wfs_util.Json.t option

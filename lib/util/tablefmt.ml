@@ -24,6 +24,16 @@ let cell_of_float ?(decimals = 2) x =
     Printf.sprintf "%.0f" x
   else Printf.sprintf "%.*f" decimals x
 
+let cell_of_replicas ?decimals replicas f =
+  match replicas with
+  | [ r ] -> cell_of_float ?decimals (f r)
+  | replicas ->
+      let s = Stats.Summary.create () in
+      List.iter (fun r -> Stats.Summary.add s (f r)) replicas;
+      Printf.sprintf "%s±%s"
+        (cell_of_float ?decimals (Stats.Summary.mean s))
+        (cell_of_float ?decimals (Stats.Summary.ci95 s))
+
 let add_float_row t ~label ?decimals values =
   add_row t (label :: List.map (cell_of_float ?decimals) values)
 

@@ -30,3 +30,9 @@ val print : t -> unit
 
 val cell_of_float : ?decimals:int -> float -> string
 (** Shared float formatting used by [add_float_row]. *)
+
+val cell_of_replicas : ?decimals:int -> 'a list -> ('a -> float) -> string
+(** One cell for a replicated measurement: [f]'s value formatted by
+    {!cell_of_float} for a single replica, ["mean±ci"] across several
+    (mean and 95% Student-t half-width, {!Stats.Summary.ci95}, folded in
+    list order). *)

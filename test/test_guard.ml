@@ -154,6 +154,50 @@ let test_file_spec_bad_scenario () =
 
 let params = [ ("horizon", Json.Int 1000); ("seed", Json.Int 7) ]
 
+(* The resume rule: a missing journal is created, one written with the same
+   settings (in any key order) is reopened for appending, and one written
+   for different settings is refused as a Bad_spec and left unchanged. *)
+let check_resume_rule ~create ~resume ~append ~close =
+  with_temp_file (fun path ->
+      Sys.remove path;
+      let w = create path in
+      append w;
+      close w;
+      let w = resume path (List.rev params) in
+      append w;
+      close w;
+      let bytes () = In_channel.with_open_bin path In_channel.input_all in
+      let before = bytes () in
+      (match resume path [ ("horizon", Json.Int 1000); ("seed", Json.Int 8) ] with
+      | _ -> Alcotest.fail "journal of different settings accepted"
+      | exception Error.Error { kind = Error.Bad_spec; who; context; _ } ->
+          check_str "refused by the shared rule" "Journal.resume" who;
+          check_bool "names the path" true
+            (List.assoc_opt "path" context = Some path));
+      check_str "refused journal untouched" before (bytes ()))
+
+let test_journal_resume_rule () =
+  check_resume_rule
+    ~create:(fun path -> snd (Journal.resume ~path ~params List.length))
+    ~resume:(fun path params ->
+      let n, w = Journal.resume ~path ~params List.length in
+      check_int "entries replayed" 1 n;
+      w)
+    ~append:(fun w -> Journal.append w ~key:"a" ~value:(Json.Int 1))
+    ~close:Journal.close
+
+let test_topo_journal_resume_rule () =
+  let module TJ = Wfs_topo.Topo_journal in
+  check_resume_rule
+    ~create:(fun path -> snd (TJ.resume ~path ~params))
+    ~resume:(fun path params ->
+      let c, w = TJ.resume ~path ~params in
+      check_bool "snapshot replayed" true
+        (TJ.find_snapshot c ~spec:"s" ~slot:100 = Some (Json.Int 1));
+      w)
+    ~append:(fun w -> TJ.append_snapshot w ~spec:"s" ~slot:100 (Json.Int 1))
+    ~close:TJ.close
+
 let test_journal_roundtrip () =
   with_temp_file (fun path ->
       let w = Journal.create ~path ~params () in
@@ -362,7 +406,7 @@ let test_invariants_clean_on_real_schedulers () =
       let off = Core.Metrics.to_json (Exec.run sp) in
       let on =
         Core.Metrics.to_json
-          (Exec.run ~hooks:(fun sched -> [ Core.Invariant.hook sched ]) sp)
+          (Exec.run ~hooks:(fun _ sched -> [ Core.Invariant.hook sched ]) sp)
       in
       check_str
         (Printf.sprintf "%s identical under monitors" sp.Spec.sched)
@@ -578,7 +622,9 @@ let fuzz_json_mutated_documents =
    probability of 2, a negative limit or horizon, a snoop period of 0), so
    most cases get past the syntax and reach a range check.  Every case must
    fail as a [Bad_spec] that names its line, or parse into a scenario whose
-   horizon and predictor a run accepts. *)
+   horizon a run accepts.  A predictor line never parses: the scheduler's
+   registry name fixes its channel knowledge, so the line is refused on
+   its own line number. *)
 let gen_scenario =
   let open QCheck.Gen in
   (* In range three times in four, so whole files often parse. *)
@@ -641,12 +687,24 @@ let fuzz_scenario_typed_errors =
     ~name:"Scenario.parse fails only as a located Bad_spec"
     (QCheck.make ~print:Fun.id gen_scenario)
     (fun text ->
+      let predictor_lines =
+        List.concat
+          (List.mapi
+             (fun i l ->
+               if String.starts_with ~prefix:"predictor " l then [ i + 1 ]
+               else [])
+             (String.split_on_char '\n' text))
+      in
       match Core.Scenario.parse text with
-      | sc ->
-          ignore (Wfs_channel.Predictor.create sc.Core.Scenario.predictor);
-          sc.Core.Scenario.horizon >= 0
-      | exception Error.Error { kind = Error.Bad_spec; context; _ } ->
-          List.mem_assoc "line" context
+      | sc -> predictor_lines = [] && sc.Core.Scenario.horizon >= 0
+      | exception Error.Error { kind = Error.Bad_spec; what; context; _ } -> (
+          match List.assoc_opt "line" context with
+          | None -> false
+          | Some line ->
+              (* Lines parse in order, so an earlier bad line may fail
+                 first; a failure on a predictor line must be this one. *)
+              (not (List.mem (int_of_string line) predictor_lines))
+              || String.starts_with ~prefix:"the predictor directive" what)
       | exception _ -> false)
 
 let suite =
@@ -659,6 +717,8 @@ let suite =
     ("run_outcome classifies failures", `Quick, test_run_outcome_classifies);
     ("file spec of a malformed scenario", `Quick, test_file_spec_bad_scenario);
     ("journal round-trip", `Quick, test_journal_roundtrip);
+    ("journal resume rule", `Quick, test_journal_resume_rule);
+    ("topo journal resume rule", `Quick, test_topo_journal_resume_rule);
     ("journal truncated tail dropped", `Quick, test_journal_truncated_tail_dropped);
     ("journal mid-file corruption rejected", `Quick,
      test_journal_mid_file_corruption_rejected);

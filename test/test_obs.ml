@@ -184,10 +184,12 @@ let test_sink_contracts () =
 let run_registry seed =
   let reg = Instruments.create () in
   let spec = Spec.make ~seed ~horizon:2000 ~sched:"SwapA-P" (Spec.example 1) in
-  let n_flows = Array.length (Exec.setups_of spec) in
   let _metrics =
     Exec.run
-      ~hooks:(fun sched -> [ Probe.create ~instruments:reg ~n_flows sched ])
+      ~hooks:(fun flows sched ->
+        [
+          Probe.create ~instruments:reg ~n_flows:(Array.length flows) sched;
+        ])
       spec
   in
   reg
@@ -266,7 +268,7 @@ let test_fault_report_carries_flight_events () =
   let fault ~slot ~selected:_ ~states:_ ~metrics:_ ~predicted_good:_ =
     if slot = 1500 then Error.sim_fault ~who:"test_obs" "injected fault"
   in
-  match Exec.run_outcome ~hooks:(fun _ -> [ fault ]) ~flight_recorder:8 spec with
+  match Exec.run_outcome ~hooks:(fun _ _ -> [ fault ]) ~flight_recorder:8 spec with
   | Ok _ -> Alcotest.fail "injected fault must fail the run"
   | Error e ->
       check_str "kind" "sim-fault" (Error.kind_to_string e.Error.kind);
@@ -311,7 +313,7 @@ let test_probed_run_is_lockstep () =
       let sink = Sink.jsonl ~path hdr in
       let probed =
         Exec.run
-          ~hooks:(fun sched ->
+          ~hooks:(fun _ sched ->
             [
               Probe.create ~stride:3 ~sinks:[ sink ] ~instruments:reg ~n_flows
                 sched;
@@ -333,7 +335,7 @@ let test_probe_validation () =
   let spec = Spec.make ~seed:1 ~horizon:10 ~sched:"SwapA-P" (Spec.example 1) in
   match
     Exec.run
-      ~hooks:(fun sched -> [ Probe.create ~stride:0 ~n_flows:2 sched ])
+      ~hooks:(fun _ sched -> [ Probe.create ~stride:0 ~n_flows:2 sched ])
       spec
   with
   | _ -> Alcotest.fail "stride 0 must be Bad_config"

@@ -1115,12 +1115,9 @@ let test_fast_path_full_run_identity () =
 (* A probed run silently degenerates to the reference loop; the knob must
    still be byte-transparent. *)
 let test_fast_path_probed_degenerates () =
-  let spec =
-    Wfs_runner.Spec.make ~seed:11 ~horizon:1000 ~sched:"SwapA-P"
-      (Wfs_runner.Spec.example 2)
+  let hooks flows sched =
+    [ Wfs_obs.Probe.create ~n_flows:(Array.length flows) sched ]
   in
-  let n_flows = Array.length (Wfs_runner.Exec.setups_of spec) in
-  let hooks sched = [ Wfs_obs.Probe.create ~n_flows sched ] in
   let r = run_example ~hooks ~fast:false ~sched:"SwapA-P" ~example:2 ~horizon:1000 ~seed:11 () in
   let f = run_example ~hooks ~fast:true ~sched:"SwapA-P" ~example:2 ~horizon:1000 ~seed:11 () in
   Alcotest.(check string) "probed run identical" r f

@@ -66,9 +66,11 @@ let small_specs () =
        (fun sched -> Spec.make ~seed:7 ~horizon:3_000 ~sched (Spec.example ~sum:0.1 1))
        [ "WRR-P"; "SwapA-P"; "IWFQ-P"; "Blind WRR"; "CIF-Q-P"; "CSDPS" ])
 
+let run_all ~jobs specs = Pool.map ~jobs (fun sp -> Exec.run sp) specs
+
 let test_exec_jobs_invariant () =
   let specs = small_specs () in
-  let runs jobs = Array.map fingerprint (Exec.run_all ~jobs specs) in
+  let runs jobs = Array.map fingerprint (run_all ~jobs specs) in
   let seq = runs 1 in
   check_bool "jobs=2 identical to jobs=1" true (runs 2 = seq);
   check_bool "jobs=4 identical to jobs=1" true (runs 4 = seq)
@@ -79,16 +81,19 @@ let test_exec_order_invariant () =
   let specs = small_specs () in
   let n = Array.length specs in
   let rev = Array.init n (fun i -> specs.(n - 1 - i)) in
-  let fwd = Array.map fingerprint (Exec.run_all ~jobs:2 specs) in
-  let bwd = Array.map fingerprint (Exec.run_all ~jobs:2 rev) in
+  let fwd = Array.map fingerprint (run_all ~jobs:2 specs) in
+  let bwd = Array.map fingerprint (run_all ~jobs:2 rev) in
   Array.iteri
     (fun i fp -> check_bool "same result in reversed order" true (fp = bwd.(n - 1 - i)))
     fwd
 
 let test_exec_replicate () =
   let spec = Spec.make ~seed:3 ~horizon:2_000 ~sched:"SwapA-P" (Spec.example 1) in
-  let reps = Exec.replicate ~jobs:2 ~seeds:3 spec in
-  check_int "three replicas" 3 (Array.length reps);
+  let replicas = Spec.replicas 3 spec in
+  Alcotest.(check (list int))
+    "consecutive seeds" [ 3; 4; 5 ]
+    (List.map (fun (sp : Spec.t) -> sp.Spec.seed) replicas);
+  let reps = run_all ~jobs:2 (Array.of_list replicas) in
   Array.iteri
     (fun k m ->
       let solo = Exec.run (Spec.with_seed (3 + k) spec) in
@@ -97,8 +102,15 @@ let test_exec_replicate () =
         true
         (fingerprint m = fingerprint solo))
     reps;
-  let s = Exec.summarize (fun m -> Core.Metrics.mean_delay m ~flow:0) reps in
-  check_int "summary over 3" 3 (Wfs_util.Stats.Summary.count s)
+  check_str "one replica renders its plain value"
+    (Wfs_util.Tablefmt.cell_of_float 2.5)
+    (Wfs_util.Tablefmt.cell_of_replicas [ 2.5 ] Fun.id);
+  (* mean 2, s = 1, n = 3: t(0.975, 2) / sqrt 3 = 4.303 / 1.732 *)
+  check_str "several render mean±ci" "2±2.48"
+    (Wfs_util.Tablefmt.cell_of_replicas [ 1.; 2.; 3. ] Fun.id);
+  match Spec.replicas 0 spec with
+  | _ -> Alcotest.fail "zero replicas must be refused"
+  | exception Invalid_argument _ -> ()
 
 (* --- checkpoint/resume --- *)
 

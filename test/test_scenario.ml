@@ -10,7 +10,6 @@ let example_text =
   {|# Example-1-like cell
 horizon 5000
 seed 7
-predictor one-step
 flow weight=1 drop=retx:2 source=mmpp:0.2 channel=ge:0.07,0.03
 flow weight=1 source=cbr:2 channel=good
 |}
@@ -20,9 +19,7 @@ let test_parse_basic () =
   check_int "horizon" 5_000 s.S.horizon;
   check_int "seed" 7 s.S.seed;
   check_int "two flows" 2 (Array.length s.S.setups);
-  check_bool "predictor one-step" true
-    (s.S.predictor = Wfs_channel.Predictor.One_step);
-  let flows = S.flows s in
+  let flows = Core.Presets.flows_of s.S.setups in
   Alcotest.(check (float 1e-9)) "weight" 1. flows.(0).Core.Params.weight;
   check_bool "drop policy" true
     (flows.(0).Core.Params.drop = Core.Params.Retx_limit 2);
@@ -45,10 +42,17 @@ flow drop=delay:100 source=cbr:4 channel=good
   let s = S.parse text in
   check_int "five flows" 5 (Array.length s.S.setups)
 
-let test_parse_snoop_predictor () =
-  let s = S.parse "predictor snoop:4\nflow source=cbr:2 channel=good\n" in
-  check_bool "snoop predictor" true
-    (s.S.predictor = Wfs_channel.Predictor.Periodic_snoop 4)
+(* The scheduler's registry name fixes its channel knowledge, so a
+   predictor line is refused on its own line instead of being ignored. *)
+let test_predictor_line_rejected () =
+  match S.parse "seed 3\npredictor snoop:4\nflow source=cbr:2 channel=good\n" with
+  | exception
+      Wfs_util.Error.Error { kind = Wfs_util.Error.Bad_spec; what; context; _ }
+    ->
+      check_int "line number" 2 (int_of_string (List.assoc "line" context));
+      check_bool "names the -I/-P suffix" true
+        (List.exists (String.equal "-I/-P") (String.split_on_char ' ' what))
+  | _ -> Alcotest.fail "a predictor line must be a bad-spec error"
 
 let test_parse_errors () =
   (* A few malformed inputs; each must raise with a useful message. *)
@@ -67,7 +71,7 @@ let test_parse_errors () =
   expect_error "flow source=cbr:2 channel=good\nseed 3\n";
   (* Out-of-range directives fail at parse time, not when the run is built. *)
   expect_error "horizon -5\nflow source=cbr:2 channel=good\n";
-  expect_error "predictor snoop:0\nflow source=cbr:2 channel=good\n"
+  expect_error "predictor one-step\nflow source=cbr:2 channel=good\n"
 
 let test_parse_error_line_number () =
   match S.parse "horizon 10\n# fine\nflow source=cbr:2\n" with
@@ -76,15 +80,26 @@ let test_parse_error_line_number () =
       check_int "line number" 3 (int_of_string (List.assoc "line" context))
   | _ -> Alcotest.fail "expected a bad-spec error"
 
+(* A scenario file runs like any other spec, through Exec. *)
+let run_example_text () =
+  let path = Filename.temp_file "wfs_scenario" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc example_text;
+      close_out oc;
+      Wfs_runner.Exec.run
+        (Wfs_runner.Spec.of_scenario_file ~sched:"SwapA-P" path))
+
 let test_run_scenario () =
-  let s = S.parse example_text in
-  let m = S.run s in
+  let m = run_example_text () in
   check_bool "arrivals happened" true (Core.Metrics.arrivals m ~flow:0 > 500);
   check_bool "deliveries happened" true (Core.Metrics.delivered m ~flow:1 > 2_000)
 
 let test_run_deterministic () =
   let run () =
-    let m = S.run (S.parse example_text) in
+    let m = run_example_text () in
     (Core.Metrics.mean_delay m ~flow:0, Core.Metrics.delivered m ~flow:0)
   in
   check_bool "reproducible" true (run () = run ())
@@ -134,7 +149,7 @@ let suite =
     ("parse basic", `Quick, test_parse_basic);
     ("parse defaults", `Quick, test_parse_defaults);
     ("parse all sources/channels", `Quick, test_parse_all_sources_channels);
-    ("parse snoop predictor", `Quick, test_parse_snoop_predictor);
+    ("predictor line is a located error", `Quick, test_predictor_line_rejected);
     ("parse errors", `Quick, test_parse_errors);
     ("parse error line number", `Quick, test_parse_error_line_number);
     ("run scenario", `Quick, test_run_scenario);

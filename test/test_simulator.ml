@@ -216,7 +216,7 @@ let test_scenario_buffer_attribute () =
   let s =
     Core.Scenario.parse "flow buffer=5 source=cbr:2 channel=good\n"
   in
-  let flows = Core.Scenario.flows s in
+  let flows = Core.Presets.flows_of s.Core.Scenario.setups in
   check_bool "buffer parsed" true (flows.(0).Core.Params.buffer = Some 5)
 
 let test_config_validation () =
